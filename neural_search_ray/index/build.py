@@ -54,7 +54,7 @@ import ray.data
 
 from ..analysis.analyzer import analyze_column
 from ..config import IndexConfig
-from .codec import encode_postings, grouped_encoder_for, grouped_varint_encode
+from .codec import encode_postings, grouped_encoder_for
 from .manifest import DOCLEN_BUCKET, IndexManifest, SegmentManifest
 
 DOCLEN_TERM = ""  # analyzer never produces an empty token
@@ -277,9 +277,6 @@ def make_tokenize_partial_postings(
         return pa.concat_tables(parts)
 
     return fn
-
-
-_grouped_varint = grouped_varint_encode  # back-compat alias (moved to codec.py)
 
 
 def make_write_group(index_dir: str, segment_id: str, config: IndexConfig):

@@ -79,11 +79,17 @@ class IndexManifest:
         return sum(s["n_docs"] for s in self.segments.values() if s["complete"])
 
     @property
+    def total_tokens(self) -> int:
+        """Σ doc length over complete segments (the LM similarities'
+        collection-model denominator)."""
+        return sum(s["sum_dl"] for s in self.segments.values() if s["complete"])
+
+    @property
     def avgdl(self) -> float:
         n = self.n_docs
         if n == 0:
             return 0.0
-        return sum(s["sum_dl"] for s in self.segments.values() if s["complete"]) / n
+        return self.total_tokens / n
 
     def complete_segments(self) -> list[dict]:
         return [s for s in self.segments.values() if s["complete"]]

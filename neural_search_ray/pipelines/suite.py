@@ -1031,7 +1031,7 @@ def q_term_stats(sf_dir: str) -> "ray.data.Dataset":
 
 def q_collection_stats(sf_dir: str) -> pa.Table:
     searcher = get_searcher(sf_dir)
-    total = sum(s["sum_dl"] for s in searcher.manifest.complete_segments())
+    total = searcher.manifest.total_tokens
     return pa.table(
         {
             "n_docs": pa.array([searcher.n_docs], type=pa.int64()),

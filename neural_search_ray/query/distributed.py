@@ -1,13 +1,23 @@
 """Distributed query execution: shard-parallel actor fan-out.
 
 The Ray restatement of OpenSearch's coordinator → data-node shard search
-(SURVEY.md §3.2): a pool of ``ShardSearchActor``s each holds a disjoint
-doc-shard subset (warmup in __init__); the driver resolves GLOBAL term
-statistics first (df summed over actors — the coordinator's role; global
-stats are required for rank-identical BM25, SURVEY.md §2.5), broadcasts
-(terms, dfs) with each query, and merges per-shard top-k with the same
-(score desc, doc_id asc) ordering — proven equal to a single-searcher
-run in tests/test_engine_advanced.py.
+(SURVEY.md §3.2, query-then-fetch): a pool of ``ShardSearchActor``s each
+holds a disjoint doc-shard subset (warmup in __init__); the driver
+resolves GLOBAL term statistics first (df summed over actors — the
+coordinator's role; global stats are required for rank-identical BM25,
+SURVEY.md §2.5), broadcasts them with each query, and merges per-shard
+top-k with the same (score desc, doc_id asc) ordering — proven equal to
+a single-searcher run in tests/test_engine_advanced.py.
+
+Actor shape: the BM25 hot path keeps dedicated methods (``stats``,
+``local_dfs``, ``search``, ``msearch``); every other shard op goes
+through ONE generic ``run(fn, *args, **kwargs)`` that evaluates
+``fn(searcher, ...)`` on the actor's shard subset. ``fn`` is an unbound
+``IndexSearcher`` method or a module-level ``(searcher, ...)`` function
+below, so it pickles by reference. The coordinator fans out with
+``_all`` (per-actor results), ``_topk`` (concat + ``topk_desc`` merge),
+``_gdfs`` (cached global dfs), ``_digest`` (merged t-digest) and
+``_key_sum`` (partial-map sum).
 
 At 256-node scale this is the serving topology: actors pinned per node
 via ``ray.remote(num_cpus=...)``, shard assignment from the manifest,
@@ -16,21 +26,40 @@ query batches routed with ``map_batches`` or direct actor calls.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import ray
 
-from .engine import IndexSearcher, topk_desc
+from ..agg.sketches import HyperLogLog, TDigest, hash64
+from ..analysis.analyzer import tokenize
+from ..index.manifest import IndexManifest
+from .engine import IndexSearcher, finish_string_stats, levenshtein, topk_desc
+from .multifield import search_multi_match
+from .queryparser import collect_query_terms, execute_query_string, parse_query
+from .significant import combine_significant, significant_partial
+
+
+class _ShardHost:
+    """Actor body shared by both pools: ``self.searcher`` is the state
+    built over the actor's shard subset."""
+
+    def run(self, fn, *args, **kwargs):
+        """The generic shard op: ``fn(searcher, *args, **kwargs)`` over
+        this actor's shard subset."""
+        return fn(self.searcher, *args, **kwargs)
 
 
 @ray.remote
-class ShardSearchActor:
+class ShardSearchActor(_ShardHost):
     def __init__(self, index_dir: str, shards: list[int]):
         self.searcher = IndexSearcher(index_dir, shards=shards)
 
     def stats(self) -> tuple[int, float]:
-        """(n_docs via manifest, sum_dl) — identical on every actor since
-        the manifest is global; kept for interface completeness."""
+        """(n_docs, avgdl), both from the manifest — identical on every
+        actor since the manifest is global; kept for interface
+        completeness (and as the no-op RPC probe)."""
         return self.searcher.n_docs, self.searcher.avgdl
 
     def local_dfs(self, terms: list[str]) -> list[int]:
@@ -61,467 +90,256 @@ class ShardSearchActor:
             for terms, gdfs in zip(term_lists, gdfs_lists)
         ]
 
-    def warm(self, terms: list[str]) -> int:
-        return self.searcher.warm_terms(terms)
 
-    def total_tokens(self) -> int:
-        return self.searcher.total_tokens()
+@ray.remote
+class MultiFieldShardActor(_ShardHost):
+    """One actor holding the SAME doc-shard subset of EVERY field index
+    (doc_shard = doc_id % num_doc_shards is field-independent, so the
+    per-field subsets are aligned by construction). Its ``searcher`` is
+    the (field, IndexSearcher, boost) list search_multi_match takes."""
 
-    def local_cfs(self, terms: list[str]) -> list[int]:
-        """Per-term collection-frequency partials (Σ tf over this
-        actor's shard subset) — the LM similarities' collection-model
-        stat, resolved coordinator-side like global df."""
-        return [self.searcher.collection_freq(t) for t in terms]
-
-    def search_lm(
-        self,
-        terms: list[str],
-        k: int,
-        similarity: str,
-        mu: float,
-        lam: float,
-        cfs: list[float],
-        total: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_lm(
-            terms,
-            k,
-            similarity=similarity,
-            mu=mu,
-            lam=lam,
-            global_stats=(np.asarray(cfs, dtype=np.float64), total),
-        )
-
-    def search_phrase(
-        self, terms: list[str], k: int, global_dfs: list[float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_phrase(
-            terms, k, global_dfs=np.asarray(global_dfs, dtype=np.float64)
-        )
-
-    def search_bool(
-        self,
-        must: list[str],
-        should: list[str],
-        must_not: list[str],
-        filter_terms: list[str],
-        k: int,
-        msm: int | None,
-        global_dfs: list[float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_bool(
-            must,
-            should,
-            must_not,
-            k,
-            filter_terms=filter_terms,
-            minimum_should_match=msm,
-            global_dfs=np.asarray(global_dfs, dtype=np.float64),
-        )
-
-    def query_string(
-        self, text: str, k: int, gdf_items: list[tuple[str, float]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Classic query_string over this actor's doc-shard subset:
-        docs live in exactly one shard, so the Boolean set algebra is
-        shard-local; scoring stats are global (n_docs/avgdl from the
-        manifest, dfs coordinator-resolved)."""
-        from .queryparser import execute_query_string
-
-        return execute_query_string(
-            self.searcher, text, k, dfs=dict(gdf_items)
-        )
-
-    def search_phrase_prefix(
-        self,
-        terms: list[str],
-        k: int,
-        expansions: list[str],
-        global_dfs: list[float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_phrase_prefix(
-            terms,
-            k,
-            expansions=expansions,
-            global_dfs=np.asarray(global_dfs, dtype=np.float64),
-        )
-
-    def expand_prefix(self, prefix: str) -> list[str]:
-        return self.searcher.expand_prefix(prefix)
-
-    def facet_terms(self, terms: list[str], field: str) -> tuple[list, list]:
-        """FULL partial bucket map for this actor's shards (size=None) —
-        bounded by field cardinality, not doc count, so shipping it to
-        the coordinator is O(|values|) and the merged counts are EXACT
-        (no shard_size approximation)."""
-        values, counts = self.searcher.facet_terms(terms, field, size=None)
-        return values, counts.tolist()
-
-    def agg_cardinality_partial(
-        self, terms: list[str], field: str, precision_threshold: int, p: int
-    ) -> tuple[str, object]:
-        """The OpenSearch cardinality shard protocol: ship the exact
-        distinct-value set while it is small, upgrade to HLL registers
-        above the threshold — either way the payload is bounded."""
-        import pyarrow.compute as pc
-
-        docs = self.searcher._match_union(terms)
-        if docs.size == 0:
-            return ("exact", [])
-        uniq = pc.unique(self.searcher.field_values(docs, field))
-        if len(uniq) <= precision_threshold:
-            return ("exact", uniq.to_pylist())
-        from ..agg.sketches import HyperLogLog, hash64
-
-        h = HyperLogLog(p).add_hashed(
-            hash64(uniq.to_numpy(zero_copy_only=False))
-        )
-        return ("hll", h.to_bytes())
-
-    def agg_percentiles_partial(
-        self, terms: list[str], field: str, delta: float
-    ) -> bytes:
-        """t-digest centroid partial over this actor's match set (a few
-        KiB regardless of match size — TDigestState's transport form)."""
-        from ..agg.sketches import TDigest
-
-        docs = self.searcher._match_union(terms)
-        if docs.size == 0:
-            return b""
-        vals = (
-            self.searcher.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        return TDigest(delta).add(vals).to_bytes()
-
-    def agg_extended_stats_partial(self, terms: list[str], field: str):
-        """(count, min, max, sum, sum_sq) — the distributive partial."""
-        s = self.searcher.agg_extended_stats(terms, field)
-        if s["count"] == 0:
-            return None
-        return (s["count"], s["min"], s["max"], s["sum"], s["sum_of_squares"])
-
-    def agg_adjacency_partial(self, terms: list[str], filters: dict) -> dict:
-        return self.searcher.agg_adjacency_matrix(terms, filters)
-
-    def span_or_union(self, clauses: list[str]) -> int:
-        return self.searcher.span_or_union(clauses)
-
-    def search_span_within(
-        self, little: str, big: list[str], k: int, global_df: float
-    ):
-        return self.searcher.search_span_within(
-            little, big, k, global_df=global_df
-        )
-
-    def search_span_containing(
-        self, little: str, big: list[str], k: int, global_dfs_big: list[float]
-    ):
-        return self.searcher.search_span_containing(
-            little, big, k,
-            global_dfs_big=np.asarray(global_dfs_big, dtype=np.float64),
-        )
-
-    def terms_enum_partial(self, prefix: str) -> dict:
-        """{term: local df} for the prefix slice — the per-shard
-        _terms_enum partial (df sums across disjoint shards)."""
-        terms = self.searcher.expand_prefix(prefix)
-        return {t: self.searcher.local_df(t) for t in terms}
-
-    def search_span_or(
-        self, clauses: list[str], k: int, global_df: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_span_or(clauses, k, global_df=global_df)
-
-    def agg_moments_partial(self, terms: list[str], field: str):
-        """(n, Σv, Σv²) exact int64 moments — the t_test shard partial."""
-        return self.searcher._field_moments(terms, field)
-
-    def string_stats_partial(self, terms: list[str], field: str):
-        return self.searcher.string_stats_partial(terms, field)
-
-    def pinned_organic(
-        self, terms: list[str], pins: list[int], k: int,
-        global_dfs: list[float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Shard-local organic BM25 top-k with the pinned ids removed
-        (the pins are re-attached coordinator-side)."""
-        cand, scores = self.searcher._bm25_union_scores(
-            terms, np.asarray(global_dfs, dtype=np.float64)
-        )
-        if cand.size == 0 or k <= 0:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        keep = ~np.isin(cand, np.asarray(pins, dtype=np.int64))
-        return topk_desc(cand[keep], scores[keep], k)
-
-    def has_docs(self, ids: list[int]) -> list[bool]:
-        """Per-id existence on this actor's shard subset (pinned-query
-        id resolution)."""
-        dl_ids = self.searcher._dl_doc_ids
-        out = []
-        for i in ids:
-            pos = np.searchsorted(dl_ids, i)
-            out.append(bool(pos < dl_ids.size and dl_ids[pos] == i))
-        return out
-
-    def agg_scripted_partial(self, terms: list[str], script):
-        return self.searcher.agg_scripted_partial(terms, script)
-
-    def agg_absdev_partial(
-        self, terms: list[str], field: str, center: float, delta: float
-    ) -> bytes:
-        """t-digest of |v − center| over this actor's match set (phase 2
-        of the distributed MAD)."""
-        from ..agg.sketches import TDigest
-
-        docs = self.searcher._match_union(terms)
-        if docs.size == 0:
-            return b""
-        vals = (
-            self.searcher.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        return TDigest(delta).add(np.abs(vals - center)).to_bytes()
-
-    def significant_partial(self, terms: list[str]) -> tuple[dict, int]:
-        from .significant import significant_partial
-
-        return significant_partial(self.searcher, terms)
-
-    def search_decay(
-        self,
-        terms: list[str],
-        field: str,
-        origin: float,
-        scale: float,
-        decay: float,
-        offset: float,
-        k: int,
-        global_dfs: list[float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_decay(
-            terms,
-            field,
-            origin=origin,
-            scale=scale,
-            decay=decay,
-            offset=offset,
-            k=k,
-            global_dfs=np.asarray(global_dfs, dtype=np.float64),
-        )
-
-    def search_dis_max(
-        self, subqueries: list[list[str]], k: int, tie_breaker: float,
-        global_dfs: list[list[float]],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_dis_max(
-            subqueries,
-            k,
-            tie_breaker=tie_breaker,
-            global_dfs=[np.asarray(g, dtype=np.float64) for g in global_dfs],
-        )
-
-    def search_boosting(
-        self, positive: list[str], negative: list[str],
-        negative_boost: float, k: int, global_dfs: list[float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_boosting(
-            positive,
-            negative,
-            negative_boost=negative_boost,
-            k=k,
-            global_dfs=np.asarray(global_dfs, dtype=np.float64),
-        )
-
-    def search_rank_feature(
-        self, terms: list[str], field: str, kwargs: dict, k: int,
-        global_dfs: list[float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_rank_feature(
-            terms,
-            field,
-            k=k,
-            global_dfs=np.asarray(global_dfs, dtype=np.float64),
-            **kwargs,
-        )
-
-    def search_distance_feature(
-        self, terms: list[str], field: str, kwargs: dict, k: int,
-        global_dfs: list[float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_distance_feature(
-            terms,
-            field,
-            k=k,
-            global_dfs=np.asarray(global_dfs, dtype=np.float64),
-            **kwargs,
-        )
-
-    def search_terms_set(
-        self, terms: list[str], msm: int, k: int, global_dfs: list[float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_terms_set(
-            terms,
-            msm,
-            k,
-            global_dfs=np.asarray(global_dfs, dtype=np.float64),
-        )
-
-    def search_function_score(
-        self, terms: list[str], field: str, kwargs: dict, k: int,
-        global_dfs: list[float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_function_score(
-            terms,
-            field,
-            k=k,
-            global_dfs=np.asarray(global_dfs, dtype=np.float64),
-            **kwargs,
-        )
-
-    def agg_range_partial(
-        self, terms: list[str], field: str, ranges: list[tuple]
-    ) -> list[dict]:
-        return self.searcher.agg_range(terms, field, ranges)
-
-    def agg_matrix_stats_partial(
-        self, terms: list[str], field_x: str, field_y: str
-    ) -> tuple:
-        return self.searcher.agg_matrix_stats_partial(terms, field_x, field_y)
-
-    def highlight_best_window(
-        self, terms: list[str], doc_ids: list[int], window: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.searcher.highlight_best_window(
-            terms, np.asarray(doc_ids, dtype=np.int64), window=window
-        )
-
-    def facet_top_hits_partial(
-        self, terms: list[str], field: str, k_per_bucket: int,
-        global_dfs: list[float],
-    ):
-        """Per-bucket shard top-k (exact for this shard's docs; the
-        coordinator merges per bucket and re-cuts — same merge shape as
-        per-shard query top-k, applied bucket-wise)."""
-        v, r, d, s = self.searcher.facet_top_hits(
-            terms,
-            field,
-            k_per_bucket,
-            global_dfs=np.asarray(global_dfs, dtype=np.float64),
-        )
-        return v, d.tolist(), s.tolist()
-
-    def search_synonym(
-        self, groups: list[list[str]], k: int, global_dfs: list[list[float]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_synonym(
-            groups,
-            k,
-            global_dfs=[np.asarray(g, dtype=np.float64) for g in global_dfs],
-        )
-
-    def rare_terms_candidates(self, max_doc_count: int) -> list[str]:
-        """Terms LOCALLY rare on this actor's shards. A term globally
-        rare must be rare on every shard it appears on, so the union of
-        these lists is a complete candidate set — but local dfs
-        UNDER-COUNT (other shards may hold more docs), so the
-        coordinator re-resolves global dfs before the final cut."""
-        s = self.searcher
-        sel = np.flatnonzero(s._gdf <= max_doc_count)
-        return np.asarray(s._gterms, dtype=object)[sel].tolist()
-
-    def agg_composite_partial(self, terms: list[str], sources: list[tuple]):
-        """FULL bucket map for this actor's shards (size=None) —
-        bounded by bucket cardinality, merged by key-sum upstream."""
-        keys, counts = self.searcher.agg_composite(terms, sources, size=None)
-        return keys, counts.tolist()
-
-    def agg_filters_partial(
-        self, terms: list[str], filters: dict
-    ) -> dict:
-        return self.searcher.agg_filters(terms, filters)
-
-    def expand_suggest(
-        self, term: str, max_edits: int, prefix_length: int
-    ) -> list[str]:
-        """Local-dictionary fuzzy expansion for the suggest coordinator
-        (a term can live on only some shards; the union is the global
-        dictionary)."""
-        return [
-            t
-            for t in self.searcher.expand_fuzzy(
-                term, max_edits, prefix_length
-            )
-            if t != term
+    def __init__(self, field_dirs: list[tuple[str, str, float]], shards: list[int]):
+        self.searcher = [
+            (f, IndexSearcher(d, shards=shards), b) for f, d, b in field_dirs
         ]
 
-    def search_multiterm(self, kind: str, arg, k: int) -> np.ndarray:
-        """Constant-score multi-term queries (prefix / wildcard / fuzzy /
-        regexp): doc-membership is decided by terms IN the doc, so each
-        shard's LOCAL dictionary expansion is exact for its own docs —
-        no coordinator expansion phase needed. Returns doc ids only
-        (score is constant 1.0)."""
-        fn = {
-            "prefix": self.searcher.search_prefix,
-            "wildcard": self.searcher.search_wildcard,
-            "regexp": self.searcher.search_regexp,
-        }
-        if kind == "fuzzy":
-            term, max_edits, prefix_length = arg
-            return self.searcher.search_fuzzy(
-                term, k, max_edits=max_edits, prefix_length=prefix_length
-            )[0]
-        return fn[kind](arg, k)[0]
 
-    def search_match_bool_prefix(self, text: str, k: int, gdfs: dict):
-        """Shard-local match_bool_prefix: term clauses score with the
-        coordinator's global dfs; the trailing prefix clause expands
-        against the LOCAL dictionary (exact by doc-membership, the
-        search_multiterm argument)."""
-        return self.searcher.search_match_bool_prefix(
-            text, k=k, global_dfs=gdfs
-        )
-
-    def complete_partial(self, prefix: str):
-        """Full (terms, local dfs) dictionary slice under ``prefix`` —
-        the completion suggester's shard partial; bounded by the
-        dictionary, never a postings decode."""
-        return self.searcher.suggest_completion(prefix, size=None)
+# -- shard ops with shard-side logic (run on an actor via ``run``) --------
 
 
-class DistributedSearcher:
-    """Driver-side handle: builds the actor pool over disjoint shard
-    subsets and runs coordinator-reduce queries."""
+def _local_cfs(s: IndexSearcher, terms: list[str]) -> list[int]:
+    """Per-term collection-frequency partials (Σ tf over this actor's
+    shard subset) — the LM similarities' collection-model stat, resolved
+    coordinator-side like global df."""
+    return [s.collection_freq(t) for t in terms]
 
-    def __init__(self, index_dir: str, num_actors: int = 2):
-        from ..index.manifest import IndexManifest
 
-        manifest = IndexManifest.load(index_dir)
-        if manifest is None:
-            raise FileNotFoundError(index_dir)
-        self.n_docs = manifest.n_docs
-        shards = list(range(manifest.num_doc_shards))
+def _field_dfs(fields: list, keys: list[tuple[str, str]]) -> list[int]:
+    """Local df per (field, term) key over a multi-field actor's subset."""
+    by_name = {f: s for f, s, _ in fields}
+    return [by_name[f].local_df(t) for f, t in keys]
+
+
+def _cardinality_partial(
+    s: IndexSearcher, terms: list[str], field: str, precision_threshold: int,
+    p: int,
+) -> tuple[str, object]:
+    """The OpenSearch cardinality shard protocol: ship the exact
+    distinct-value set while it is small, upgrade to HLL registers above
+    the threshold — either way the payload is bounded."""
+    import pyarrow.compute as pc
+
+    docs = s._match_union(terms)
+    if docs.size == 0:
+        return ("exact", [])
+    uniq = pc.unique(s.field_values(docs, field))
+    if len(uniq) <= precision_threshold:
+        return ("exact", uniq.to_pylist())
+    h = HyperLogLog(p).add_hashed(hash64(uniq.to_numpy(zero_copy_only=False)))
+    return ("hll", h.to_bytes())
+
+
+def _digest_partial(
+    s: IndexSearcher, terms: list[str], field: str, delta: float,
+    center: float | None = None,
+) -> bytes:
+    """t-digest centroid partial over this actor's match set (a few KiB
+    regardless of match size — TDigestState's transport form); with a
+    ``center``, the digest of |v − center| (phase 2 of the MAD)."""
+    docs = s._match_union(terms)
+    if docs.size == 0:
+        return b""
+    vals = (
+        s.field_values(docs, field)
+        .to_numpy(zero_copy_only=False)
+        .astype(np.float64)
+    )
+    if center is not None:
+        vals = np.abs(vals - center)
+    return TDigest(delta).add(vals).to_bytes()
+
+
+def _terms_enum_partial(s: IndexSearcher, prefix: str) -> dict:
+    """{term: local df} for the prefix slice — the per-shard _terms_enum
+    partial (df sums across disjoint shards)."""
+    return {t: s.local_df(t) for t in s.expand_prefix(prefix)}
+
+
+def _pinned_organic(
+    s: IndexSearcher, terms: list[str], pins: list[int], k: int,
+    global_dfs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shard-local organic BM25 top-k with the pinned ids removed (the
+    pins are re-attached coordinator-side)."""
+    cand, scores = s._bm25_union_scores(terms, global_dfs)
+    if cand.size == 0 or k <= 0:
+        return _no_hits()
+    keep = ~np.isin(cand, np.asarray(pins, dtype=np.int64))
+    return topk_desc(cand[keep], scores[keep], k)
+
+
+def _has_docs(s: IndexSearcher, ids: list[int]) -> list[bool]:
+    """Per-id existence on this actor's shard subset (pinned-query id
+    resolution)."""
+    dl_ids = s._dl_doc_ids
+    pos = np.searchsorted(dl_ids, ids)
+    return [
+        bool(p < dl_ids.size and dl_ids[p] == i) for p, i in zip(pos, ids)
+    ]
+
+
+def _rare_candidates(s: IndexSearcher, max_doc_count: int) -> list[str]:
+    """Terms LOCALLY rare on this actor's shards. A term globally rare
+    must be rare on every shard it appears on, so the union of these
+    lists is a complete candidate set — but local dfs UNDER-COUNT (other
+    shards may hold more docs), so the coordinator re-resolves global dfs
+    before the final cut."""
+    sel = np.flatnonzero(s._gdf <= max_doc_count)
+    return np.asarray(s._gterms, dtype=object)[sel].tolist()
+
+
+def _expand_suggest(
+    s: IndexSearcher, tokens: list[str], max_edits: int, prefix_length: int
+) -> list[list[str]]:
+    """Local-dictionary fuzzy expansions, one list per token, the token
+    itself excluded (a term can live on only some shards; the union is
+    the global dictionary)."""
+    return [
+        [t for t in s.expand_fuzzy(tok, max_edits, prefix_length) if t != tok]
+        for tok in tokens
+    ]
+
+
+# -- coordinator-side merges ----------------------------------------------
+
+
+def _no_hits() -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, np.int64), np.empty(0, np.float64)
+
+
+def _merge_topk(parts: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Concat the disjoint per-shard (docs, scores) top-ks, global cut."""
+    docs = np.concatenate([p[0] for p in parts])
+    scores = np.concatenate([p[1] for p in parts])
+    return topk_desc(docs, scores, k)
+
+
+def _key_sum(partials, acc: dict | None = None) -> dict:
+    """Sum per-shard (key, count) iterables by key — exact for every
+    distributive count (each doc lives on exactly one shard)."""
+    acc = {} if acc is None else acc
+    for pairs in partials:
+        for key, c in pairs:
+            acc[key] = acc.get(key, 0) + c
+    return acc
+
+
+class _ShardPool:
+    """Driver-side actor pool over disjoint doc-shard subsets, plus the
+    generic fan-out helpers every coordinator op is written in."""
+
+    def __init__(self, actor_cls, source, num_doc_shards: int, num_actors: int):
+        if num_actors < 1:
+            raise ValueError(f"num_actors must be >= 1, got {num_actors}")
+        shards = list(range(num_doc_shards))
         chunks = [shards[i::num_actors] for i in range(num_actors)]
-        chunks = [c for c in chunks if c]
         # Fault tolerance (SURVEY §4 "fail the partition and retry",
         # serving side): actor state is rebuilt entirely from the
         # immutable on-disk index in __init__, so a crashed shard actor
         # restarts (max_restarts) and the in-flight query task retries
-        # (max_task_retries) with bit-identical results — every method
+        # (max_task_retries) with bit-identical results — every shard op
         # is a pure read. Proven by the kill-mid-batch rank-identity
-        # test in tests/test_engine_advanced.py.
+        # tests in tests/test_engine_advanced.py and test_multifield.py.
         self.actors = [
-            ShardSearchActor.options(
-                max_restarts=2, max_task_retries=2
-            ).remote(index_dir, c)
+            actor_cls.options(max_restarts=2, max_task_retries=2).remote(
+                source, c
+            )
             for c in chunks
+            if c
         ]
+
+    def _call(self, method: str, /, *args, **kwargs) -> list:
+        """Invoke one actor method on every actor; per-actor results."""
+        return ray.get(
+            [getattr(a, method).remote(*args, **kwargs) for a in self.actors]
+        )
+
+    def _all(self, fn, /, *args, **kwargs) -> list:
+        """Run the shard op ``fn`` on every actor; per-actor results."""
+        return self._call("run", fn, *args, **kwargs)
+
+    def _topk(self, k: int, fn, /, *args, **kwargs):
+        """Run a shard top-k op everywhere and merge to the global top-k."""
+        return _merge_topk(self._all(fn, *args, **kwargs), k)
+
+    @staticmethod
+    def _resolve(cache: dict, fetch, keys: list) -> np.ndarray:
+        """Global stats aligned to ``keys``: keys missing from ``cache``
+        are summed over the per-actor partials ``fetch(missing)`` returns
+        (ONE fan-out round) and cached — the stats are immutable for a
+        built index."""
+        missing = sorted({t for t in keys if t not in cache})
+        if missing:
+            sums = np.asarray(fetch(missing), dtype=np.float64).sum(axis=0)
+            cache.update(zip(missing, sums.tolist()))
+        return np.asarray([cache[t] for t in keys], dtype=np.float64)
+
+    def shutdown(self) -> None:
+        for a in self.actors:
+            ray.kill(a)
+        self.actors = []
+
+
+class DistributedSearcher(_ShardPool):
+    """Driver-side handle: builds the actor pool over disjoint shard
+    subsets and runs coordinator-reduce queries."""
+
+    def __init__(self, index_dir: str, num_actors: int = 2):
+        manifest = IndexManifest.load(index_dir)
+        if manifest is None:
+            raise FileNotFoundError(index_dir)
+        super().__init__(
+            ShardSearchActor, index_dir, manifest.num_doc_shards, num_actors
+        )
+        self.n_docs = manifest.n_docs
+        self._total_tokens = float(manifest.total_tokens)
         # coordinator-side global-df cache: dfs are immutable for a built
         # index, so each term pays the phase-1 fan-out ONCE — warm
-        # queries are a single RPC round (halves steady-state latency)
+        # queries are a single RPC round (halves steady-state latency);
+        # _gcf is the same cache for the LM collection frequencies
         self._gdf: dict[str, float] = {}
+        self._gcf: dict[str, float] = {}
+
+    def _gdfs(self, terms: list[str]) -> np.ndarray:
+        """Global dfs aligned to ``terms`` (Σ local df, cached)."""
+        return self._resolve(
+            self._gdf, lambda m: self._call("local_dfs", m), terms
+        )
+
+    def _digest(
+        self, terms: list[str], field: str, delta: float,
+        center: float | None = None,
+    ) -> TDigest | None:
+        """Merged t-digest of the shard partials (None: no matches)."""
+        parts = [
+            b
+            for b in self._all(_digest_partial, terms, field, delta, center)
+            if b
+        ]
+        if not parts:
+            return None
+        t = TDigest.from_bytes(parts[0])
+        for b in parts[1:]:
+            t.merge(TDigest.from_bytes(b))
+        return t
+
+    def _stats_partials(self, terms: list[str], field: str) -> list[dict]:
+        """Non-empty per-shard extended_stats partials."""
+        return [
+            p
+            for p in self._all(IndexSearcher.agg_extended_stats, terms, field)
+            if p["count"]
+        ]
 
     def warmup(self, term_lists: list[list[str]]) -> None:
         """Batched cache warmup for an expected query workload — the
@@ -531,30 +349,16 @@ class DistributedSearcher:
         versus 2 RPC rounds per query when warming by just running the
         workload."""
         terms = sorted({t for ts in term_lists for t in ts})
-        missing = [t for t in terms if t not in self._gdf]
-        if missing:
-            local = ray.get([a.local_dfs.remote(missing) for a in self.actors])
-            sums = np.asarray(local, dtype=np.float64).sum(axis=0)
-            self._gdf.update(zip(missing, sums.tolist()))
-        ray.get([a.warm.remote(terms) for a in self.actors])
+        self._gdfs(terms)
+        self._all(IndexSearcher.warm_terms, terms)
 
     def search_bm25(self, terms: list[str], k: int = 10):
         terms = sorted(set(terms))
         # phase 1 (coordinator): global df = Σ local df, for terms not
-        # already cached
-        missing = [t for t in terms if t not in self._gdf]
-        if missing:
-            local = ray.get([a.local_dfs.remote(missing) for a in self.actors])
-            sums = np.asarray(local, dtype=np.float64).sum(axis=0)
-            self._gdf.update(zip(missing, sums.tolist()))
-        gdfs = np.asarray([self._gdf[t] for t in terms], dtype=np.float64)
-        # phase 2: fan out with global stats, merge per-shard top-k
-        parts = ray.get(
-            [a.search.remote(terms, k, gdfs.tolist()) for a in self.actors]
-        )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
+        # already cached; phase 2: fan out with global stats, merge
+        # per-shard top-k
+        gdfs = self._gdfs(terms)
+        return _merge_topk(self._call("search", terms, k, gdfs.tolist()), k)
 
     def msearch_bm25(
         self, term_lists: list[list[str]], k: int = 10
@@ -567,49 +371,25 @@ class DistributedSearcher:
         transport is batched. At 256-node scale this is the difference
         between per-query and per-batch coordinator latency."""
         norm_lists = [sorted(set(ts)) for ts in term_lists]
-        self._resolve_gdfs([t for ts in norm_lists for t in ts])
+        self._gdfs([t for ts in norm_lists for t in ts])
         gdfs_lists = [[self._gdf[t] for t in ts] for ts in norm_lists]
-        per_actor = ray.get(
-            [
-                a.msearch.remote(norm_lists, k, gdfs_lists)
-                for a in self.actors
-            ]
-        )
-        out = []
-        for qi in range(len(norm_lists)):
-            docs = np.concatenate([pa_[qi][0] for pa_ in per_actor])
-            scores = np.concatenate([pa_[qi][1] for pa_ in per_actor])
-            out.append(topk_desc(docs, scores, k))
-        return out
-
-    def _resolve_gdfs(self, terms: list[str]) -> None:
-        """One df fan-out round for terms not already cached."""
-        missing = sorted({t for t in terms if t not in self._gdf})
-        if missing:
-            local = ray.get([a.local_dfs.remote(missing) for a in self.actors])
-            sums = np.asarray(local, dtype=np.float64).sum(axis=0)
-            self._gdf.update(zip(missing, sums.tolist()))
+        per_actor = self._call("msearch", norm_lists, k, gdfs_lists)
+        return [
+            _merge_topk([pa_[qi] for pa_ in per_actor], k)
+            for qi in range(len(norm_lists))
+        ]
 
     def search_query_string(self, text: str, k: int = 10):
         """Classic query_string through the serving pool: the driver
         parses once to collect the scored terms (term + phrase
         children), ONE global-df fan-out resolves them, then each actor
         evaluates the whole Boolean tree shard-locally with global
-        stats and the coordinator merges disjoint-shard top-ks —
+        stats (docs live in exactly one shard, so the set algebra is
+        shard-local) and the coordinator merges disjoint-shard top-ks —
         rank-identical to the single-process path by construction."""
-        from .engine import topk_desc
-        from .queryparser import collect_query_terms, parse_query
-
-        node = parse_query(text)
-        terms = sorted(collect_query_terms(node))
-        self._resolve_gdfs(terms)
-        items = [(t, self._gdf[t]) for t in terms]
-        parts = ray.get(
-            [a.query_string.remote(text, k, items) for a in self.actors]
-        )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
+        terms = sorted(collect_query_terms(parse_query(text)))
+        dfs = dict(zip(terms, self._gdfs(terms).tolist()))
+        return self._topk(k, execute_query_string, text, k, dfs=dfs)
 
     def search_lm(
         self,
@@ -628,46 +408,23 @@ class DistributedSearcher:
         single-node engine because every actor evaluates the same
         kernel on the same global stats."""
         sterms = sorted(set(terms))
-        if not hasattr(self, "_gcf"):
-            self._gcf: dict[str, float] = {}
-        missing = [t for t in sterms if t not in self._gcf]
-        if missing:
-            local = ray.get(
-                [a.local_cfs.remote(missing) for a in self.actors]
-            )
-            sums = np.asarray(local, dtype=np.float64).sum(axis=0)
-            self._gcf.update(zip(missing, sums.tolist()))
-        cfs = [self._gcf[t] for t in sterms]
-        if not hasattr(self, "_total_tokens"):
-            # identical on every actor (manifest-global); one RPC, cached
-            self._total_tokens = float(
-                ray.get(self.actors[0].total_tokens.remote())
-            )
-        parts = ray.get(
-            [
-                a.search_lm.remote(
-                    sterms, k, similarity, mu, lam, cfs, self._total_tokens
-                )
-                for a in self.actors
-            ]
+        cfs = self._resolve(
+            self._gcf, lambda m: self._all(_local_cfs, m), sterms
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
+        return self._topk(
+            k, IndexSearcher.search_lm, sterms, k, similarity=similarity,
+            mu=mu, lam=lam, global_stats=(cfs, self._total_tokens),
+        )
 
     def search_phrase(self, terms: list[str], k: int = 10):
         """Distributed match_phrase: phrase matching is per-doc, so each
         shard matches locally; only idf needs the coordinator's global
         df phase (dfs passed in GIVEN term order — search_phrase sums
         one idf addend per occurrence)."""
-        self._resolve_gdfs(terms)
-        gdfs = [self._gdf[t] for t in terms]
-        parts = ray.get(
-            [a.search_phrase.remote(terms, k, gdfs) for a in self.actors]
+        return self._topk(
+            k, IndexSearcher.search_phrase, terms, k,
+            global_dfs=self._gdfs(terms),
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_bool(
         self,
@@ -684,26 +441,12 @@ class DistributedSearcher:
         terms (must + should)."""
         must = list(must or [])
         should = list(should or [])
-        sterms = sorted(set(must) | set(should))
-        self._resolve_gdfs(sterms)
-        gdfs = [self._gdf[t] for t in sterms]
-        parts = ray.get(
-            [
-                a.search_bool.remote(
-                    must,
-                    should,
-                    list(must_not or []),
-                    list(filter_terms or []),
-                    k,
-                    minimum_should_match,
-                    gdfs,
-                )
-                for a in self.actors
-            ]
+        return self._topk(
+            k, IndexSearcher.search_bool, must, should, list(must_not or []),
+            k, filter_terms=list(filter_terms or []),
+            minimum_should_match=minimum_should_match,
+            global_dfs=self._gdfs(sorted(set(must) | set(should))),
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_phrase_prefix(
         self, terms: list[str], k: int = 10, *, max_expansions: int = 50
@@ -714,39 +457,25 @@ class DistributedSearcher:
         term array — rank-identical to a single searcher, avoiding the
         per-shard-expansion inconsistency ES documents for this query."""
         if not terms:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        prefix = terms[-1]
-        locals_ = ray.get(
-            [a.expand_prefix.remote(prefix) for a in self.actors]
-        )
+            return _no_hits()
+        locals_ = self._all(IndexSearcher.expand_prefix, terms[-1])
         expansions = sorted({t for ts in locals_ for t in ts})[:max_expansions]
         if not expansions:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        enum = list(terms[:-1]) + expansions
-        self._resolve_gdfs(enum)
-        gdfs = [self._gdf[t] for t in enum]
-        parts = ray.get(
-            [
-                a.search_phrase_prefix.remote(terms, k, expansions, gdfs)
-                for a in self.actors
-            ]
+            return _no_hits()
+        return self._topk(
+            k, IndexSearcher.search_phrase_prefix, terms, k,
+            expansions=expansions,
+            global_dfs=self._gdfs(list(terms[:-1]) + expansions),
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def facet_terms(self, terms: list[str], field: str, size: int = 10):
-        """Distributed terms aggregation: shard-local partial maps
-        (match set and doc-values are shard-resident), coordinator sums
-        by value, then the global (count desc, value asc) top-size cut —
-        exact because partials are complete per shard."""
-        parts = ray.get(
-            [a.facet_terms.remote(terms, field) for a in self.actors]
-        )
-        acc: dict = {}
-        for values, counts in parts:
-            for v, c in zip(values, counts):
-                acc[v] = acc.get(v, 0) + c
+        """Distributed terms aggregation: shard-local FULL partial maps
+        (size=None; match set and doc-values are shard-resident, bounded
+        by field cardinality), coordinator sums by value, then the
+        global (count desc, value asc) top-size cut — exact because
+        partials are complete per shard (no shard_size approximation)."""
+        parts = self._all(IndexSearcher.facet_terms, terms, field, size=None)
+        acc = _key_sum(zip(values, counts) for values, counts in parts)
         if not acc:
             return [], np.empty(0, np.int64)
         values = list(acc)
@@ -767,13 +496,8 @@ class DistributedSearcher:
         registers otherwise (merged by register max). The coordinator
         only downgrades to an estimate when the UNION outgrows the
         threshold or any shard upgraded — OpenSearch's semantics."""
-        parts = ray.get(
-            [
-                a.agg_cardinality_partial.remote(
-                    terms, field, precision_threshold, p
-                )
-                for a in self.actors
-            ]
+        parts = self._all(
+            _cardinality_partial, terms, field, precision_threshold, p
         )
         exact_vals: set = set()
         sketches: list[bytes] = []
@@ -784,8 +508,6 @@ class DistributedSearcher:
                 sketches.append(payload)
         if not sketches and len(exact_vals) <= precision_threshold:
             return {"value": len(exact_vals), "exact": True}
-        from ..agg.sketches import HyperLogLog, hash64
-
         h = HyperLogLog(p)
         if sketches:
             h.merge(HyperLogLog.merge_payloads(sketches))
@@ -803,23 +525,9 @@ class DistributedSearcher:
         """Distributed percentiles agg (t-digest tier — the mergeable
         form; the exact linear-interpolation tier needs co-located
         values and stays single-searcher / Ray-Data sort territory)."""
-        from ..agg.sketches import TDigest
-
-        parts = [
-            b
-            for b in ray.get(
-                [
-                    a.agg_percentiles_partial.remote(terms, field, delta)
-                    for a in self.actors
-                ]
-            )
-            if b
-        ]
-        if not parts:
+        t = self._digest(terms, field, delta)
+        if t is None:
             return np.full(len(pcts), np.nan)
-        t = TDigest.from_bytes(parts[0])
-        for b in parts[1:]:
-            t.merge(TDigest.from_bytes(b))
         return t.quantiles(np.asarray(pcts, dtype=np.float64) / 100.0)
 
     def agg_extended_stats(self, terms: list[str], field: str) -> dict:
@@ -827,31 +535,22 @@ class DistributedSearcher:
         partials merge associatively; avg/variance/std computed once at
         the coordinator with the same float expression as the single
         searcher — bitwise identical."""
-        parts = [
-            p
-            for p in ray.get(
-                [
-                    a.agg_extended_stats_partial.remote(terms, field)
-                    for a in self.actors
-                ]
-            )
-            if p is not None
-        ]
+        parts = self._stats_partials(terms, field)
         if not parts:
             return {
                 "count": 0, "min": None, "max": None, "sum": 0,
                 "avg": None, "sum_of_squares": 0, "variance": None,
                 "std_deviation": None,
             }
-        n = sum(p[0] for p in parts)
-        total = sum(p[3] for p in parts)
-        sum_sq = sum(p[4] for p in parts)
+        n = sum(p["count"] for p in parts)
+        total = sum(p["sum"] for p in parts)
+        sum_sq = sum(p["sum_of_squares"] for p in parts)
         avg = total / n
         var = sum_sq / n - avg * avg
         return {
             "count": n,
-            "min": min(p[1] for p in parts),
-            "max": max(p[2] for p in parts),
+            "min": min(p["min"] for p in parts),
+            "max": max(p["max"] for p in parts),
             "sum": total,
             "avg": avg,
             "sum_of_squares": sum_sq,
@@ -870,12 +569,8 @@ class DistributedSearcher:
         per side summed at the coordinator, then the SAME pinned final
         expression as IndexSearcher.agg_t_test — bitwise identical to
         the single-node run."""
-        pa_ = ray.get(
-            [a.agg_moments_partial.remote(terms_a, field) for a in self.actors]
-        )
-        pb = ray.get(
-            [a.agg_moments_partial.remote(terms_b, field) for a in self.actors]
-        )
+        pa_ = self._all(IndexSearcher._field_moments, terms_a, field)
+        pb = self._all(IndexSearcher._field_moments, terms_b, field)
         n1, s1, ss1 = (sum(p[i] for p in pa_) for i in range(3))
         n2, s2, ss2 = (sum(p[i] for p in pb) for i in range(3))
         if n1 < 2 or n2 < 2:
@@ -898,15 +593,8 @@ class DistributedSearcher:
         associatively, per-codepoint histograms merge by key; entropy is
         one coordinator pass in sorted-codepoint order — identical float
         result regardless of sharding (engine.finish_string_stats)."""
-        from .engine import finish_string_stats
-
         return finish_string_stats(
-            ray.get(
-                [
-                    a.string_stats_partial.remote(terms, field)
-                    for a in self.actors
-                ]
-            )
+            self._all(IndexSearcher.string_stats_partial, terms, field)
         )
 
     def agg_boxplot(
@@ -917,41 +605,18 @@ class DistributedSearcher:
         digest — the reference's mergeable-sketch shape (the exact
         PERCENTILE_CONT tier needs co-located values and stays
         single-searcher)."""
-        stats = [
-            p
-            for p in ray.get(
-                [
-                    a.agg_extended_stats_partial.remote(terms, field)
-                    for a in self.actors
-                ]
-            )
-            if p is not None
-        ]
+        stats = self._stats_partials(terms, field)
         if not stats:
             return {"min": None, "q1": None, "q2": None, "q3": None,
                     "max": None}
-        from ..agg.sketches import TDigest
-
-        parts = [
-            b
-            for b in ray.get(
-                [
-                    a.agg_percentiles_partial.remote(terms, field, delta)
-                    for a in self.actors
-                ]
-            )
-            if b
-        ]
-        t = TDigest.from_bytes(parts[0])
-        for b in parts[1:]:
-            t.merge(TDigest.from_bytes(b))
+        t = self._digest(terms, field, delta)
         q1, q2, q3 = t.quantiles(np.asarray([0.25, 0.5, 0.75]))
         return {
-            "min": float(min(p[1] for p in stats)),
+            "min": float(min(p["min"] for p in stats)),
             "q1": float(q1),
             "q2": float(q2),
             "q3": float(q3),
-            "max": float(max(p[2] for p in stats)),
+            "max": float(max(p["max"] for p in stats)),
         }
 
     def search_distance_feature(
@@ -960,63 +625,38 @@ class DistributedSearcher:
         """Distributed distance_feature: per-doc doc-values feature is
         shard-local; global df broadcast keeps BM25 rank-identical."""
         sterms = sorted(set(terms))
-        self._resolve_gdfs(sterms)
-        gdfs = [self._gdf[t] for t in sterms]
-        parts = ray.get(
-            [
-                a.search_distance_feature.remote(sterms, field, kwargs, k, gdfs)
-                for a in self.actors
-            ]
+        return self._topk(
+            k, IndexSearcher.search_distance_feature, sterms, field, k=k,
+            global_dfs=self._gdfs(sterms), **kwargs,
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_span_or(self, clauses: list[str], k: int = 10):
         """Distributed span_or: the union df is the SUM of per-shard
         union dfs (disjoint doc sets), resolved coordinator-side like
         global term df, then broadcast — rank-identical to one node."""
         sterms = sorted(set(clauses))
-        gdf = float(
-            sum(ray.get([a.span_or_union.remote(sterms) for a in self.actors]))
+        gdf = float(sum(self._all(IndexSearcher.span_or_union, sterms)))
+        return self._topk(
+            k, IndexSearcher.search_span_or, sterms, k, global_df=gdf
         )
-        parts = ray.get(
-            [a.search_span_or.remote(sterms, k, gdf) for a in self.actors]
-        )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_span_within(self, little: str, big: list[str], k: int = 10):
         """Distributed span_within: single little-term global df
         broadcast (the span_not discipline) — rank-identical."""
-        self._resolve_gdfs([little])
-        parts = ray.get(
-            [
-                a.search_span_within.remote(little, big, k, self._gdf[little])
-                for a in self.actors
-            ]
+        return self._topk(
+            k, IndexSearcher.search_span_within, little, big, k,
+            global_df=float(self._gdfs([little])[0]),
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_span_containing(
         self, little: str, big: list[str], k: int = 10
     ):
         """Distributed span_containing: big-phrase per-term global dfs
         broadcast (the search_phrase discipline)."""
-        self._resolve_gdfs(sorted(set(big)))
-        gdfs = [self._gdf[t] for t in big]
-        parts = ray.get(
-            [
-                a.search_span_containing.remote(little, big, k, gdfs)
-                for a in self.actors
-            ]
+        return self._topk(
+            k, IndexSearcher.search_span_containing, little, big, k,
+            global_dfs_big=self._gdfs(big),
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def terms_enum(
         self, prefix: str, size: int = 10, min_df: int = 1
@@ -1024,12 +664,9 @@ class DistributedSearcher:
         """Distributed _terms_enum: per-shard prefix slices merged by
         df-sum (disjoint shards), term-ordered cut — identical to the
         single searcher."""
-        merged: dict[str, int] = {}
-        for m in ray.get(
-            [a.terms_enum_partial.remote(prefix) for a in self.actors]
-        ):
-            for t, d in m.items():
-                merged[t] = merged.get(t, 0) + d
+        merged = _key_sum(
+            m.items() for m in self._all(_terms_enum_partial, prefix)
+        )
         out_t, out_d = [], []
         for t in sorted(merged):
             if merged[t] >= min_df:
@@ -1046,37 +683,19 @@ class DistributedSearcher:
         shard actors (order preserved, first k), organic shard top-k
         merged with the pins excluded — same output contract as
         IndexSearcher.search_pinned."""
-        seen: set[int] = set()
-        cand_pins: list[int] = []
-        for i in pinned_ids:
-            i = int(i)
-            if i not in seen:
-                seen.add(i)
-                cand_pins.append(i)
-        exists = ray.get(
-            [a.has_docs.remote(cand_pins) for a in self.actors]
-        )
+        cand_pins = list(dict.fromkeys(int(i) for i in pinned_ids))
+        exists = self._all(_has_docs, cand_pins)
         pins = [
             p
             for j, p in enumerate(cand_pins)
             if any(e[j] for e in exists)
         ][:k]
         sterms = sorted(set(terms))
-        organic_docs = np.empty(0, np.int64)
-        organic_scores = np.empty(0, np.float64)
+        organic_docs, organic_scores = _no_hits()
         if sterms and k > len(pins):
-            self._resolve_gdfs(sterms)
-            gdfs = [self._gdf[t] for t in sterms]
-            parts = ray.get(
-                [
-                    a.pinned_organic.remote(sterms, pins, k - len(pins), gdfs)
-                    for a in self.actors
-                ]
-            )
-            organic_docs, organic_scores = topk_desc(
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                k - len(pins),
+            organic_docs, organic_scores = self._topk(
+                k - len(pins), _pinned_organic, sterms, pins, k - len(pins),
+                self._gdfs(sterms),
             )
         pin_docs = np.asarray(pins, dtype=np.int64)
         pin_scores = IndexSearcher.PIN_SCORE_BASE - np.arange(
@@ -1095,11 +714,8 @@ class DistributedSearcher:
         associative; reduce sees all shard states)."""
         parts = [
             p
-            for p in ray.get(
-                [
-                    a.agg_scripted_partial.remote(terms, script)
-                    for a in self.actors
-                ]
+            for p in self._all(
+                IndexSearcher.agg_scripted_partial, terms, script
             )
             if p is not None
         ]
@@ -1113,17 +729,8 @@ class DistributedSearcher:
         """Distributed adjacency_matrix: every doc lives on exactly one
         shard, so singles AND pairwise intersections are distributive
         count-sums (zero buckets stay omitted)."""
-        parts = ray.get(
-            [
-                a.agg_adjacency_partial.remote(terms, filters)
-                for a in self.actors
-            ]
-        )
-        out: dict = {}
-        for p in parts:
-            for name, c in p.items():
-                out[name] = out.get(name, 0) + c
-        return out
+        parts = self._all(IndexSearcher.agg_adjacency_matrix, terms, filters)
+        return _key_sum(p.items() for p in parts)
 
     def agg_percentile_ranks(
         self,
@@ -1136,23 +743,9 @@ class DistributedSearcher:
         merged digest's quantile function by bisection (the exact
         empirical-CDF tier needs co-located values and stays
         single-searcher)."""
-        from ..agg.sketches import TDigest
-
-        parts = [
-            b
-            for b in ray.get(
-                [
-                    a.agg_percentiles_partial.remote(terms, field, delta)
-                    for a in self.actors
-                ]
-            )
-            if b
-        ]
-        if not parts:
+        t = self._digest(terms, field, delta)
+        if t is None:
             return np.full(len(values), np.nan)
-        t = TDigest.from_bytes(parts[0])
-        for b in parts[1:]:
-            t.merge(TDigest.from_bytes(b))
         out = []
         for x in values:
             lo, hi = 0.0, 1.0
@@ -1171,38 +764,11 @@ class DistributedSearcher:
         """Distributed MAD (t-digest tier, two phases): merged digest →
         approximate median, then per-shard digests of |v − median| →
         merged → median again. Both phases ship only centroid bytes."""
-        from ..agg.sketches import TDigest
-
-        parts = [
-            b
-            for b in ray.get(
-                [
-                    a.agg_percentiles_partial.remote(terms, field, delta)
-                    for a in self.actors
-                ]
-            )
-            if b
-        ]
-        if not parts:
+        t = self._digest(terms, field, delta)
+        if t is None:
             return float("nan")
-        t = TDigest.from_bytes(parts[0])
-        for b in parts[1:]:
-            t.merge(TDigest.from_bytes(b))
         med = t.quantile(0.5)
-        parts2 = [
-            b
-            for b in ray.get(
-                [
-                    a.agg_absdev_partial.remote(terms, field, med, delta)
-                    for a in self.actors
-                ]
-            )
-            if b
-        ]
-        t2 = TDigest.from_bytes(parts2[0])
-        for b in parts2[1:]:
-            t2.merge(TDigest.from_bytes(b))
-        return float(t2.quantile(0.5))
+        return float(self._digest(terms, field, delta, med).quantile(0.5))
 
     def significant_terms(
         self, terms: list[str], size: int = 10, min_doc_count: int = 1
@@ -1210,15 +776,11 @@ class DistributedSearcher:
         """Distributed significant_terms: per-actor (term, fg_df) maps
         merged by sum, background dfs resolved through the same
         coordinator df cache as BM25 — EXACT across any sharding."""
-        from .significant import combine_significant
-
-        parts = ray.get(
-            [a.significant_partial.remote(terms) for a in self.actors]
-        )
+        parts = self._all(significant_partial, terms)
         vocab = sorted({t for m, _ in parts for t in m})
         if not vocab:
             return combine_significant(parts, lambda v: [], self.n_docs, size)
-        self._resolve_gdfs(vocab)
+        self._gdfs(vocab)
         return combine_significant(
             parts,
             lambda v: [int(self._gdf[t]) for t in v],
@@ -1242,19 +804,11 @@ class DistributedSearcher:
         per-doc doc-values function, so shard top-k merge stays exact
         once idf uses global dfs."""
         sterms = sorted(set(terms))
-        self._resolve_gdfs(sterms)
-        gdfs = [self._gdf[t] for t in sterms]
-        parts = ray.get(
-            [
-                a.search_decay.remote(
-                    sterms, field, origin, scale, decay, offset, k, gdfs
-                )
-                for a in self.actors
-            ]
+        return self._topk(
+            k, IndexSearcher.search_decay, sterms, field, origin=origin,
+            scale=scale, decay=decay, offset=offset, k=k,
+            global_dfs=self._gdfs(sterms),
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_dis_max(
         self,
@@ -1267,17 +821,11 @@ class DistributedSearcher:
         per-shard full combine (max + tb·rest is per-doc, doc lives on
         ONE shard), exact top-k merge."""
         subs = [sorted(set(s)) for s in subqueries]
-        self._resolve_gdfs([t for s in subs for t in s])
-        gdfs = [[self._gdf[t] for t in s] for s in subs]
-        parts = ray.get(
-            [
-                a.search_dis_max.remote(subs, k, tie_breaker, gdfs)
-                for a in self.actors
-            ]
+        self._gdfs([t for s in subs for t in s])
+        return self._topk(
+            k, IndexSearcher.search_dis_max, subs, k, tie_breaker=tie_breaker,
+            global_dfs=[self._gdfs(s) for s in subs],
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_boosting(
         self,
@@ -1291,19 +839,10 @@ class DistributedSearcher:
         doc's negative postings live on its own shard), so only the
         positive idf needs the coordinator phase."""
         pos = sorted(set(positive))
-        self._resolve_gdfs(pos)
-        gdfs = [self._gdf[t] for t in pos]
-        parts = ray.get(
-            [
-                a.search_boosting.remote(
-                    pos, negative, negative_boost, k, gdfs
-                )
-                for a in self.actors
-            ]
+        return self._topk(
+            k, IndexSearcher.search_boosting, pos, negative,
+            negative_boost=negative_boost, k=k, global_dfs=self._gdfs(pos),
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_rank_feature(
         self, terms: list[str], field: str, *, k: int = 10, **kwargs
@@ -1311,17 +850,10 @@ class DistributedSearcher:
         """Distributed rank_feature: the feature is per-doc doc-values,
         shard-local by construction."""
         sterms = sorted(set(terms))
-        self._resolve_gdfs(sterms)
-        gdfs = [self._gdf[t] for t in sterms]
-        parts = ray.get(
-            [
-                a.search_rank_feature.remote(sterms, field, kwargs, k, gdfs)
-                for a in self.actors
-            ]
+        return self._topk(
+            k, IndexSearcher.search_rank_feature, sterms, field, k=k,
+            global_dfs=self._gdfs(sterms), **kwargs,
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_terms_set(
         self, terms: list[str], minimum_should_match: int = 2, k: int = 10
@@ -1331,19 +863,10 @@ class DistributedSearcher:
         shard filters + scores with coordinator-global dfs and the
         merge is a plain exact top-k."""
         sterms = sorted(set(terms))
-        self._resolve_gdfs(sterms)
-        gdfs = [self._gdf[t] for t in sterms]
-        parts = ray.get(
-            [
-                a.search_terms_set.remote(
-                    sterms, minimum_should_match, k, gdfs
-                )
-                for a in self.actors
-            ]
+        return self._topk(
+            k, IndexSearcher.search_terms_set, sterms, minimum_should_match,
+            k, global_dfs=self._gdfs(sterms),
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def search_function_score(
         self, terms: list[str], field: str, *, k: int = 10, **kwargs
@@ -1352,17 +875,10 @@ class DistributedSearcher:
         per-doc doc-values (shard-local); each shard multiplies its
         FULL union before truncation, so the k-merge stays exact."""
         sterms = sorted(set(terms))
-        self._resolve_gdfs(sterms)
-        gdfs = [self._gdf[t] for t in sterms]
-        parts = ray.get(
-            [
-                a.search_function_score.remote(sterms, field, kwargs, k, gdfs)
-                for a in self.actors
-            ]
+        return self._topk(
+            k, IndexSearcher.search_function_score, sterms, field, k=k,
+            global_dfs=self._gdfs(sterms), **kwargs,
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def agg_matrix_stats(
         self, terms: list[str], field_x: str, field_y: str = "_dl"
@@ -1373,11 +889,8 @@ class DistributedSearcher:
         exact sums, same expressions). Higher moments (skew/kurt) are a
         single-node extra; the distributed protocol ships only the
         mergeable core (the agg's documented RunningStats merge)."""
-        parts = ray.get(
-            [
-                a.agg_matrix_stats_partial.remote(terms, field_x, field_y)
-                for a in self.actors
-            ]
+        parts = self._all(
+            IndexSearcher.agg_matrix_stats_partial, terms, field_x, field_y
         )
         n, sum_x, sum_xx, sum_y, sum_yy, sum_xy = (
             sum(p[i] for p in parts) for i in range(6)
@@ -1408,16 +921,11 @@ class DistributedSearcher:
         """Distributed highlighter: a doc's positions live on exactly
         one shard, so per-shard best windows concatenate — no merge
         logic, no duplicate docs possible."""
-        ids = [int(d) for d in np.asarray(doc_ids, dtype=np.int64)]
-        parts = ray.get(
-            [
-                a.highlight_best_window.remote(terms, ids, window)
-                for a in self.actors
-            ]
+        parts = self._all(
+            IndexSearcher.highlight_best_window, terms,
+            np.asarray(doc_ids, dtype=np.int64), window=window,
         )
-        d = np.concatenate([p[0] for p in parts])
-        w = np.concatenate([p[1] for p in parts])
-        h = np.concatenate([p[2] for p in parts])
+        d, w, h = (np.concatenate([p[i] for p in parts]) for i in range(3))
         order = np.argsort(d)
         return d[order], w[order], h[order]
 
@@ -1426,23 +934,16 @@ class DistributedSearcher:
     ) -> list[dict]:
         """Distributed range agg: the range list is fixed, so shard
         partials are aligned (cnt, sum) vectors — elementwise sum."""
-        parts = ray.get(
-            [
-                a.agg_range_partial.remote(terms, field, ranges)
-                for a in self.actors
-            ]
-        )
-        out = []
-        for i, (lo, hi) in enumerate(ranges):
-            out.append(
-                {
-                    "from": lo,
-                    "to": hi,
-                    "cnt": sum(p[i]["cnt"] for p in parts),
-                    "sum_v": sum(p[i]["sum_v"] for p in parts),
-                }
-            )
-        return out
+        parts = self._all(IndexSearcher.agg_range, terms, field, ranges)
+        return [
+            {
+                "from": lo,
+                "to": hi,
+                "cnt": sum(p[i]["cnt"] for p in parts),
+                "sum_v": sum(p[i]["sum_v"] for p in parts),
+            }
+            for i, (lo, hi) in enumerate(ranges)
+        ]
 
     def facet_top_hits(
         self, terms: list[str], field: str, k_per_bucket: int = 3
@@ -1451,18 +952,12 @@ class DistributedSearcher:
         partials merged bucket-wise at the coordinator, then re-cut —
         exact because each shard's partial is complete for its docs."""
         sterms = sorted(set(terms))
-        self._resolve_gdfs(sterms)
-        gdfs = [self._gdf[t] for t in sterms]
-        parts = ray.get(
-            [
-                a.facet_top_hits_partial.remote(
-                    sterms, field, k_per_bucket, gdfs
-                )
-                for a in self.actors
-            ]
+        parts = self._all(
+            IndexSearcher.facet_top_hits, sterms, field, k_per_bucket,
+            global_dfs=self._gdfs(sterms),
         )
         acc: dict = {}
-        for values, docs, scores in parts:
+        for values, _, docs, scores in parts:
             for v, d, s in zip(values, docs, scores):
                 acc.setdefault(v, ([], []))
                 acc[v][0].append(d)
@@ -1492,14 +987,11 @@ class DistributedSearcher:
         group of GLOBAL dfs (each global df = Σ local), so idf is
         identical on every shard; per-shard top-k merge stays exact."""
         gsets = [sorted(set(g)) for g in groups]
-        self._resolve_gdfs([t for g in gsets for t in g])
-        gdfs = [[self._gdf[t] for t in g] for g in gsets]
-        parts = ray.get(
-            [a.search_synonym.remote(gsets, k, gdfs) for a in self.actors]
+        self._gdfs([t for g in gsets for t in g])
+        return self._topk(
+            k, IndexSearcher.search_synonym, gsets, k,
+            global_dfs=[self._gdfs(g) for g in gsets],
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def agg_rare_terms(
         self, max_doc_count: int = 1, size: int = 10
@@ -1511,16 +1003,11 @@ class DistributedSearcher:
         under-counted local dfs are corrected before the cut."""
         if max_doc_count < 1:
             raise ValueError("max_doc_count must be >= 1")
-        cand_lists = ray.get(
-            [
-                a.rare_terms_candidates.remote(max_doc_count)
-                for a in self.actors
-            ]
-        )
+        cand_lists = self._all(_rare_candidates, max_doc_count)
         cands = sorted({t for cl in cand_lists for t in cl})
         if not cands:
             return [], np.empty(0, np.int64)
-        self._resolve_gdfs(cands)
+        self._gdfs(cands)
         terms = np.asarray(
             [t for t in cands if self._gdf[t] <= max_doc_count],
             dtype=object,
@@ -1540,20 +1027,12 @@ class DistributedSearcher:
         size: int = 10,
         after: tuple | None = None,
     ):
-        """Distributed composite agg: per-shard FULL bucket maps merged
-        by key-sum, then one global key-ordered after/size cut — exact
-        because each partial is complete for its shard's docs."""
-        parts = ray.get(
-            [
-                a.agg_composite_partial.remote(terms, sources)
-                for a in self.actors
-            ]
-        )
-        acc: dict = {}
-        for keys, counts in parts:
-            for kt, c in zip(keys, counts):
-                kt = tuple(kt)
-                acc[kt] = acc.get(kt, 0) + c
+        """Distributed composite agg: per-shard FULL bucket maps
+        (size=None, bounded by bucket cardinality) merged by key-sum,
+        then one global key-ordered after/size cut — exact because each
+        partial is complete for its shard's docs."""
+        parts = self._all(IndexSearcher.agg_composite, terms, sources, size=None)
+        acc = _key_sum(zip(map(tuple, keys), counts) for keys, counts in parts)
         keys = sorted(acc)
         if after is not None:
             keys = [k for k in keys if k > tuple(after)]
@@ -1564,17 +1043,8 @@ class DistributedSearcher:
         self, terms: list[str], filters: dict
     ) -> dict:
         """Distributed filters agg: per-shard counts sum (distributive)."""
-        parts = ray.get(
-            [
-                a.agg_filters_partial.remote(terms, filters)
-                for a in self.actors
-            ]
-        )
-        out = {name: 0 for name in filters}
-        for p in parts:
-            for name, c in p.items():
-                out[name] += c
-        return out
+        parts = self._all(IndexSearcher.agg_filters, terms, filters)
+        return _key_sum((p.items() for p in parts), dict.fromkeys(filters, 0))
 
     def suggest_term(
         self,
@@ -1589,24 +1059,15 @@ class DistributedSearcher:
         shard-dictionary expansions (a term can live on only some
         shards), frequencies are global dfs via the coordinator cache,
         ranking identical to the single searcher."""
-        from .engine import levenshtein
-
         if suggest_mode not in ("missing", "always"):
             raise ValueError("suggest_mode must be 'missing' or 'always'")
-        if suggest_mode == "missing":
-            self._resolve_gdfs([term])
-            if self._gdf[term] > 0:
-                return []
-        cand_sets = ray.get(
-            [
-                a.expand_suggest.remote(term, max_edits, prefix_length)
-                for a in self.actors
-            ]
-        )
-        cands = sorted({t for cs in cand_sets for t in cs})
+        if suggest_mode == "missing" and self._gdfs([term])[0] > 0:
+            return []
+        cand_sets = self._all(_expand_suggest, [term], max_edits, prefix_length)
+        cands = sorted({t for cs in cand_sets for t in cs[0]})
         if not cands:
             return []
-        self._resolve_gdfs(cands)
+        self._gdfs(cands)
         scored = sorted(
             (levenshtein(term, t), -int(self._gdf[t]), t) for t in cands
         )[:size]
@@ -1624,40 +1085,25 @@ class DistributedSearcher:
         edit_penalty: float | None = None,
     ) -> list[tuple[str, float]]:
         """Distributed phrase suggester: per-token candidates from the
-        UNION of shard-dictionary expansions ranked by GLOBAL df, then
-        the same noisy-channel LM scoring as query/suggest.py (the LM
-        arrays are broadcast by the caller)."""
-        import math
-
-        from ..analysis.analyzer import tokenize
-        from .engine import levenshtein
-
+        UNION of shard-dictionary expansions (one call per actor carries
+        every token) ranked by GLOBAL df, then the same noisy-channel LM
+        scoring as query/suggest.py (the LM arrays are broadcast by the
+        caller)."""
         if edit_penalty is None:
             edit_penalty = math.log(0.5)
         tokens = tokenize(text)
         if not tokens:
             return []
-        expansions = ray.get(
-            [
-                a.expand_suggest.remote(tok, max_edits, 0)
-                for a in self.actors
-                for tok in tokens
-            ]
-        )
-        n_act = len(self.actors)
+        expansions = self._all(_expand_suggest, tokens, max_edits, 0)
         floor = float(np.min(lnp) - math.log(2.0)) if len(lnp) else 0.0
         per_tok_cands = []
         all_cands = set()
         for ti, tok in enumerate(tokens):
-            cs = {
-                t
-                for ai in range(n_act)
-                for t in expansions[ai * len(tokens) + ti]
-            }
-            cs.add(tok)  # expand_suggest drops the input token itself
+            cs = {t for per_actor in expansions for t in per_actor[ti]}
+            cs.add(tok)  # _expand_suggest drops the input token itself
             all_cands |= cs
             per_tok_cands.append(cs)
-        self._resolve_gdfs(sorted(all_cands))
+        self._gdfs(sorted(all_cands))
         out_cands = []
         for tok, cs in zip(tokens, per_tok_cands):
             present = [t for t in cs if self._gdf.get(t, 0) > 0]
@@ -1698,63 +1144,59 @@ class DistributedSearcher:
         results.sort(key=lambda r: (-r[1], r[0]))
         return results[:size]
 
-    def _search_multiterm(self, kind: str, arg, k: int):
-        parts = ray.get(
-            [a.search_multiterm.remote(kind, arg, k) for a in self.actors]
-        )
-        docs = np.sort(np.concatenate(parts))[:k]
+    def _search_multiterm(self, k: int, fn, /, *args, **kwargs):
+        """Constant-score multi-term queries (prefix / wildcard / fuzzy /
+        regexp): doc-membership is decided by terms IN the doc, so each
+        shard's LOCAL dictionary expansion is exact for its own docs —
+        no coordinator expansion phase needed. Merges doc ids only
+        (score is constant 1.0)."""
+        parts = self._all(fn, *args, **kwargs)
+        docs = np.sort(np.concatenate([p[0] for p in parts]))[:k]
         return docs, np.ones(docs.size, dtype=np.float64)
 
     def search_prefix(self, prefix: str, k: int = 10):
-        return self._search_multiterm("prefix", prefix, k)
+        return self._search_multiterm(k, IndexSearcher.search_prefix, prefix, k)
 
     def search_wildcard(self, pattern: str, k: int = 10):
-        return self._search_multiterm("wildcard", pattern, k)
+        return self._search_multiterm(
+            k, IndexSearcher.search_wildcard, pattern, k
+        )
 
     def search_regexp(self, pattern: str, k: int = 10):
-        return self._search_multiterm("regexp", pattern, k)
+        return self._search_multiterm(k, IndexSearcher.search_regexp, pattern, k)
 
     def search_fuzzy(
         self, term: str, k: int = 10, *, max_edits: int = 2,
         prefix_length: int = 0,
     ):
         return self._search_multiterm(
-            "fuzzy", (term, max_edits, prefix_length), k
+            k, IndexSearcher.search_fuzzy, term, k, max_edits=max_edits,
+            prefix_length=prefix_length,
         )
 
     def search_match_bool_prefix(self, text: str, k: int = 10):
         """Distributed match_bool_prefix: ONE global-df round for the
         term clauses (the prefix clause is constant-score and expands
-        shard-locally), then shard-local evaluation — doc spaces are
-        disjoint so the merge is concat + top-k."""
-        from ..analysis.analyzer import tokenize as _tok
-
-        toks = _tok(text)
+        against each shard's LOCAL dictionary — exact by doc-membership),
+        then shard-local evaluation — doc spaces are disjoint so the
+        merge is concat + top-k."""
+        toks = tokenize(text)
         if not toks:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        self._resolve_gdfs(toks[:-1])
-        gdfs = {t: self._gdf[t] for t in toks[:-1]}
-        parts = ray.get(
-            [
-                a.search_match_bool_prefix.remote(text, k, gdfs)
-                for a in self.actors
-            ]
+            return _no_hits()
+        gdfs = dict(zip(toks[:-1], self._gdfs(toks[:-1]).tolist()))
+        return self._topk(
+            k, IndexSearcher.search_match_bool_prefix, text, k=k,
+            global_dfs=gdfs,
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
 
     def suggest_completion(self, prefix: str, size: int = 5):
-        """Distributed completion: per-shard dictionary slices merge by
-        df SUM per term (a term's postings are split across doc shards),
-        then one global (weight desc, term asc) cut."""
-        parts = ray.get(
-            [a.complete_partial.remote(prefix) for a in self.actors]
-        )
-        agg: dict[str, int] = {}
-        for terms, dfs in parts:
-            for t, d in zip(terms, dfs.tolist()):
-                agg[t] = agg.get(t, 0) + d
+        """Distributed completion: per-shard FULL (terms, local dfs)
+        dictionary slices (size=None — bounded by the dictionary, never a
+        postings decode) merge by df SUM per term (a term's postings are
+        split across doc shards), then one global (weight desc, term asc)
+        cut."""
+        parts = self._all(IndexSearcher.suggest_completion, prefix, size=None)
+        agg = _key_sum(zip(terms, dfs.tolist()) for terms, dfs in parts)
         if not agg:
             return [], np.empty(0, np.int64)
         terms = np.asarray(sorted(agg), dtype=object)
@@ -1762,47 +1204,8 @@ class DistributedSearcher:
         order = np.lexsort((terms, -weights))[:size]
         return [str(t) for t in terms[order]], weights[order]
 
-    def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
 
-
-@ray.remote
-class MultiFieldShardActor:
-    """One actor holding the SAME doc-shard subset of EVERY field index
-    (doc_shard = doc_id % num_doc_shards is field-independent, so the
-    per-field subsets are aligned by construction)."""
-
-    def __init__(self, field_dirs: list[tuple[str, str, float]], shards: list[int]):
-        self.fields = [
-            (f, IndexSearcher(d, shards=shards), b) for f, d, b in field_dirs
-        ]
-
-    def local_dfs(self, terms: list[str]) -> dict[str, list[int]]:
-        return {
-            f: [s.local_df(t) for t in terms] for f, s, _ in self.fields
-        }
-
-    def search(
-        self, terms: list[str], k: int, match_type: str,
-        tie_breaker: float, gdfs: dict[str, list[float]],
-    ):
-        from .multifield import search_multi_match
-
-        return search_multi_match(
-            self.fields,
-            terms,
-            k,
-            match_type=match_type,
-            tie_breaker=tie_breaker,
-            global_dfs={
-                f: np.asarray(v, dtype=np.float64) for f, v in gdfs.items()
-            },
-        )
-
-
-class MultiFieldDistributedSearcher:
+class MultiFieldDistributedSearcher(_ShardPool):
     """Distributed multi_match: per-field global-df phase, shard-local
     scoring (global n_docs/avgdl come from each field's manifest), and
     a concat + top-k merge over the disjoint doc shards."""
@@ -1810,8 +1213,6 @@ class MultiFieldDistributedSearcher:
     def __init__(
         self, field_dirs: list[tuple[str, str, float]], num_actors: int = 2
     ):
-        from ..index.manifest import IndexManifest
-
         manifests = [IndexManifest.load(d) for _, d, _ in field_dirs]
         if any(m is None for m in manifests):
             raise FileNotFoundError("missing field index manifest")
@@ -1821,12 +1222,9 @@ class MultiFieldDistributedSearcher:
                 "multi_match field indexes must share num_doc_shards "
                 f"(got {sorted(shards_n)}) so doc shards stay aligned"
             )
-        shards = list(range(shards_n.pop()))
-        chunks = [shards[i::num_actors] for i in range(num_actors)]
-        chunks = [c for c in chunks if c]
-        self.actors = [
-            MultiFieldShardActor.remote(field_dirs, c) for c in chunks
-        ]
+        super().__init__(
+            MultiFieldShardActor, field_dirs, shards_n.pop(), num_actors
+        )
         # per-(field, term) df cache, same immutability argument as
         # DistributedSearcher._gdf
         self._gdf: dict[tuple[str, str], float] = {}
@@ -1842,38 +1240,16 @@ class MultiFieldDistributedSearcher:
     ):
         sterms = sorted(set(terms))
         if not sterms:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        missing = [
-            t
-            for t in sterms
-            if any((f, t) not in self._gdf for f in self._field_names)
-        ]
-        if missing:
-            local = ray.get(
-                [a.local_dfs.remote(missing) for a in self.actors]
-            )
-            for f in self._field_names:
-                sums = np.asarray(
-                    [part[f] for part in local], dtype=np.float64
-                ).sum(axis=0)
-                self._gdf.update(
-                    ((f, t), v) for t, v in zip(missing, sums.tolist())
-                )
-        gdfs = {
-            f: [self._gdf[(f, t)] for t in sterms]
-            for f in self._field_names
-        }
-        parts = ray.get(
-            [
-                a.search.remote(sterms, k, match_type, tie_breaker, gdfs)
-                for a in self.actors
-            ]
+            return _no_hits()
+        keys = [(f, t) for f in self._field_names for t in sterms]
+        flat = self._resolve(
+            self._gdf, lambda m: self._all(_field_dfs, m), keys
         )
-        docs = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        return topk_desc(docs, scores, k)
-
-    def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
+        n = len(sterms)
+        gdfs = {
+            f: flat[i * n:(i + 1) * n] for i, f in enumerate(self._field_names)
+        }
+        return self._topk(
+            k, search_multi_match, sterms, k, match_type=match_type,
+            tie_breaker=tie_breaker, global_dfs=gdfs,
+        )

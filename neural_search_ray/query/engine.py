@@ -2000,11 +2000,7 @@ class IndexSearcher:
         """Collection token count (Σ doc length over complete segments)
         — the LM similarities' collection-model denominator. Stale
         until purge like n_docs/avgdl, the liveDocs stats model."""
-        return sum(
-            s["sum_dl"]
-            for s in self.manifest.segments.values()
-            if s["complete"]
-        )
+        return self.manifest.total_tokens
 
     def collection_freq(self, term: str) -> int:
         """Collection frequency (Σ tf over all docs) — computed from

@@ -272,6 +272,48 @@ def test_distributed_warmup_identity(skewed_index, ray_session):
         ds.shutdown()
 
 
+@pytest.mark.parametrize("num_actors", [0, -1])
+def test_coordinators_reject_empty_pool(skewed_index, num_actors):
+    """A pool of no actors is refused at construction, not at the first
+    query (an empty fan-out would raise deep in the merge, or answer an
+    aggregation with nothing)."""
+    from neural_search_ray.query.distributed import (
+        DistributedSearcher,
+        MultiFieldDistributedSearcher,
+    )
+
+    index_dir, _ = skewed_index
+    with pytest.raises(ValueError, match="num_actors"):
+        DistributedSearcher(index_dir, num_actors=num_actors)
+    with pytest.raises(ValueError, match="num_actors"):
+        MultiFieldDistributedSearcher(
+            [("text", index_dir, 1.0)], num_actors=num_actors
+        )
+
+
+@pytest.mark.parametrize("similarity", ["dirichlet", "jelinek_mercer", "dfi"])
+def test_distributed_search_lm_identity(skewed_index, similarity):
+    """The pool's LM similarities (global cf = Σ local cf, total tokens
+    from the manifest) return the single searcher's doc ids and exact
+    scores."""
+    from neural_search_ray.query.distributed import DistributedSearcher
+
+    index_dir, _ = skewed_index
+    s = IndexSearcher(index_dir)
+    assert s.total_tokens() == sum(
+        seg["sum_dl"] for seg in s.manifest.complete_segments()
+    )
+    ds = DistributedSearcher(index_dir, num_actors=2)
+    try:
+        for q in ["the data query", "merge w0500", "of and the", "zzznope"]:
+            d, sc = ds.search_lm(q.split(), k=10, similarity=similarity)
+            sd, ssc = s.search_lm(q.split(), k=10, similarity=similarity)
+            assert d.tolist() == sd.tolist(), q
+            assert np.array_equal(sc, ssc), q
+    finally:
+        ds.shutdown()
+
+
 def test_rebuild_is_byte_deterministic(tmp_path, ray_session):
     """A re-run after a simulated crash (manifest lost mid-segment)
     overwrites group files with byte-identical content — resumability

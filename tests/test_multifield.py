@@ -186,6 +186,29 @@ def test_distributed_multi_match_identity(mf, tmp_path_factory, ray_session):
         d.shutdown()
 
 
+def test_distributed_multi_match_actor_crash_recovery(mf, ray_session):
+    """A killed multi-field shard actor restarts from the immutable
+    indexes and the next multi_match returns the identical top-k."""
+    import ray
+
+    from neural_search_ray.query.distributed import MultiFieldDistributedSearcher
+
+    field_dirs = [
+        ("title", mf["title"][0].index_dir, 2.0),
+        ("text", mf["body"][0].index_dir, 1.0),
+    ]
+    d = MultiFieldDistributedSearcher(field_dirs, num_actors=2)
+    try:
+        expected = [d.search_multi_match(q.split(), k=10) for q in QUERIES]
+        ray.kill(d.actors[0], no_restart=False)
+        for q, (ed, es) in zip(QUERIES, expected):
+            gd, gs = d.search_multi_match(q.split(), k=10)
+            assert gd.tolist() == ed.tolist(), q
+            assert np.array_equal(gs, es), q
+    finally:
+        d.shutdown()
+
+
 def test_distributed_mbp_and_completion_identity(mf, ray_session):
     from neural_search_ray.query.distributed import DistributedSearcher
 
