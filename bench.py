@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -381,9 +382,10 @@ def run_scaling_paired(sf_dir: str, cpus_low: int = 8, cpus_high: int = 32,
     INFLATE the reported efficiency) cannot hide inside our own decay
     envelope; the 8-cpu leg itself is insensitive to residual load of
     that size on a 32-way box. A leg that dies records an error row
-    instead of aborting completed pairs. Headline = best clean-pair
-    efficiency; median over clean pairs alongside; all pairs disclosed
-    either way."""
+    instead of aborting completed pairs. Headline = median clean-pair
+    efficiency; the best clean pair is disclosed as
+    ``max_clean_efficiency`` but never headlined (a max over N attempts
+    is biased upward); all pairs disclosed either way."""
     pair_rows = []
     for i in range(pairs):
         try:
@@ -409,10 +411,9 @@ def run_scaling_paired(sf_dir: str, cpus_low: int = 8, cpus_high: int = 32,
             ),
         })
     clean = [p["efficiency"] for p in pair_rows if p.get("clean")]
-    clean.sort()
     return {
         "metric": "nsr_scaling_paired",
-        "value": round(max(clean), 3) if clean else None,
+        "value": round(statistics.median(clean), 3) if clean else None,
         "unit": "efficiency",
         "sf": sf_dir,
         "cpus_low": cpus_low,
@@ -421,9 +422,7 @@ def run_scaling_paired(sf_dir: str, cpus_low: int = 8, cpus_high: int = 32,
         "clean_load_threshold": clean_load,
         "n_pairs": len(pair_rows),
         "n_clean_pairs": len(clean),
-        "median_clean_efficiency": (
-            round(clean[len(clean) // 2], 3) if clean else None
-        ),
+        "max_clean_efficiency": max(clean) if clean else None,
         "target": 0.8,
         "pairs": pair_rows,
     }

@@ -45,6 +45,13 @@ def bm25_idf(df: np.ndarray | float, n_docs: int) -> np.ndarray | float:
     return np.log1p((n_docs - df + 0.5) / (df + 0.5))
 
 
+def bm25_term_idfs(dfs, n_docs: int) -> np.ndarray:
+    """Per-term idfs of a query; a term absent from the collection
+    (df 0) gets idf 0, so it adds nothing to any score."""
+    dfs = np.asarray(dfs, dtype=np.float64)
+    return np.where(dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), n_docs), 0.0)
+
+
 def bm25_tf_norm(
     tf: np.ndarray, dl: np.ndarray, avgdl: float, cfg: BM25Config = BM25Config()
 ) -> np.ndarray:

@@ -345,7 +345,7 @@ class DistributedSearcher(_ShardPool):
         """Batched cache warmup for an expected query workload — the
         reference's explicit warmup API (SURVEY.md §3.3). ONE df
         fan-out round for every distinct term, then one RPC per actor
-        that decodes postings + builds block-max metadata in-actor —
+        that decodes postings + builds dense tf-norm vectors in-actor —
         versus 2 RPC rounds per query when warming by just running the
         workload."""
         terms = sorted({t for ts in term_lists for t in ts})

@@ -9,19 +9,14 @@ decode into a bounded LRU term cache (the analogue of
 sparse/cache/LruTermCache.java:13 + CacheGatedPostingsReader).
 
 Scoring parity: exact Lucene-default BM25 (query/bm25.py) with global
-collection stats; ties (score desc, doc_id asc). Two execution paths,
-both EXACT (identical top-k, tested):
-
-- ``pruning="none"``: score the full posting union.
-- ``pruning="maxscore"`` (default): MaxScore-style dynamic pruning (the
-  block-max WAND family, Ding & Suel SIGIR'11; the reference's
-  cluster-skipping analogue is SeismicBaseScorer.java:202-220): terms are
-  split by score upper bound UB_t = idf_t·tf_max/(tf_max+k1(1-b)); the
-  candidate set comes from high-UB ("essential") terms only, low-UB terms
-  contribute via per-candidate lookups, and the result is certified exact
-  when Σ UB over non-essential terms < the k-th best score — else the
-  engine falls back to the full union (so stopword-only queries still
-  return exact results).
+collection stats; ties (score desc, doc_id asc). ``search_bm25`` has one
+exact kernel, ``_search_dense``: each term's postings carry precomputed
+tf-norms and doc-space positions, so a term is one scatter-add into a
+shard-sized accumulator — or, for a term in at least
+``DENSE_TFN_THRESHOLD`` of the shard's docs, one contiguous add of its
+cached dense tf-norm vector. Terms accumulate in sorted order, so scores
+are bit-identical to the candidate scorer (``_score_candidates``) that
+the other match-union operators use.
 """
 
 from __future__ import annotations
@@ -38,13 +33,7 @@ from ..config import BM25Config, QueryConfig
 from ..index.codec import decoder_for
 from ..index.manifest import DOCLEN_BUCKET, IndexManifest
 from ..state.stats import stats
-from .bm25 import bm25_idf
-
-
-# doc-space-aligned block size for block-max pruning (distinct from the
-# 128-posting block_max_tf written at build; this one aligns across terms
-# so per-block UBs sum with one vector add)
-_BLOCKMAX_B = 1024
+from .bm25 import bm25_idf, bm25_term_idfs
 
 
 def _binary_views(chunked) -> tuple[np.ndarray, memoryview]:
@@ -213,7 +202,7 @@ class IndexSearcher:
         self._dv = None  # lazy doc-values reader (index/docvalues.py)
         # Tombstoned docs (index/deletes.py — the Lucene liveDocs model):
         # excluded from every result, but collection stats (n_docs, avgdl,
-        # df, idf, UBs) stay STALE until purge_deletes rewrites the
+        # df, idf) stay STALE until purge_deletes rewrites the
         # segments — exactly Lucene's docFreq-counts-deleted semantics.
         # Snapshot at init: like an IndexReader, this searcher's view is
         # frozen; deletes issued later need a new searcher.
@@ -245,8 +234,8 @@ class IndexSearcher:
 
             self.breaker = NOOP_BREAKER
         self._cache = _LruTerms(term_cache_items, self.breaker, "postings")
-        # (term, B) → dense block-max tfn
-        self._bm_cache = _LruTerms(4096, self.breaker, "block_max")
+        # term → dense tf-norm vector + presence mask (_dense_term)
+        self._dense_cache = _LruTerms(4096, self.breaker, "dense_tfn")
         self._dense_refused: set[str] = set()  # breaker-refused dense terms
         self._decode = decoder_for(manifest.posting_codec)
         post_paths: list[str] = []
@@ -268,22 +257,13 @@ class IndexSearcher:
         if post_paths:
             import pyarrow.dataset as pads
 
-            cols = ["term", "df", "docs", "tfs", "block_max_tf"]
+            cols = ["term", "df", "docs", "tfs"]
             if self.has_positions:
                 cols.append("pos")
             tbl = pads.dataset(post_paths).to_table(columns=cols)
             n_rows = tbl.num_rows
         if n_rows:
             self._p_df = tbl["df"].to_numpy()  # int64 on disk
-            # per-row max tf from the block-max lists (reduceat over the
-            # flattened child; empty lists contribute 0)
-            bm = tbl.column("block_max_tf").combine_chunks()
-            bm_off = bm.offsets.to_numpy().astype(np.int64)
-            bm_flat = bm.flatten().to_numpy()
-            row_max = np.zeros(n_rows, dtype=np.int64)
-            nz = np.diff(bm_off) > 0
-            if bm_flat.size:
-                row_max[nz] = np.maximum.reduceat(bm_flat, bm_off[:-1][nz])
             # zero-copy binary views (large_binary → int64 offsets so a
             # combined shard column > 2 GiB can't overflow)
             self._docs_off, self._docs_data = _binary_views(tbl.column("docs"))
@@ -305,7 +285,6 @@ class IndexSearcher:
             self._gstart = starts
             self._gend = ends
             self._gdf = np.add.reduceat(self._p_df[order], starts)
-            self._gmax = np.maximum.reduceat(row_max[order], starts)
             group_terms = st.take(pa.array(starts)).to_pylist()
             self._gid = dict(zip(group_terms, range(starts.size)))
             # lexicographically sorted unique terms (Arrow sorts by UTF-8
@@ -322,7 +301,6 @@ class IndexSearcher:
             self._gstart = np.empty(0, np.int64)
             self._gend = np.empty(0, np.int64)
             self._gdf = np.empty(0, np.int64)
-            self._gmax = np.empty(0, np.int64)
             self._gterms = np.empty(0, dtype=object)
         if self.has_positions and not hasattr(self, "_pos_off"):
             self._pos_off = np.zeros(1, np.int64)
@@ -376,10 +354,6 @@ class IndexSearcher:
     def local_df(self, term: str) -> int:
         g = self._gid.get(term)
         return int(self._gdf[g]) if g is not None else 0
-
-    def max_tf(self, term: str) -> int:
-        g = self._gid.get(term)
-        return int(self._gmax[g]) if g is not None else 0
 
     def doc_length(self, doc_ids: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self._dl_doc_ids, doc_ids)
@@ -438,8 +412,8 @@ class IndexSearcher:
         if self._deleted.size and docs.size:
             # liveDocs filter at decode time (cached, so the cost is paid
             # once per term): deleted docs vanish from every query path —
-            # candidate union, dense scatter, block-max, sparse dot —
-            # while stored df / max_tf stay stale (valid upper bounds).
+            # BM25 accumulator, candidate scorer, sparse dot — while the
+            # stored df stays stale (Lucene docFreq semantics).
             pos_t = np.searchsorted(self._deleted, docs)
             pos_tc = np.minimum(pos_t, self._deleted.size - 1)
             live = self._deleted[pos_tc] != docs
@@ -533,17 +507,13 @@ class IndexSearcher:
     def warm_terms(self, terms: list[str]) -> int:
         """Explicit cache warmup — the reference's warmup API
         (NeuralSparseIndexShard.warmUp, sparse/NeuralSparseIndexShard.java:82-104)
-        restated over this searcher's caches: decode postings, precompute
-        tf-norms, and build block-max metadata for each distinct term, so
-        the first real query runs at steady-state latency. Returns the
-        number of terms touched."""
+        restated over this searcher's caches: decode postings and precompute
+        tf-norms for each distinct term, so the first real query runs at
+        steady-state latency. Returns the number of terms touched."""
         n = 0
         n_docs = self._dl_doc_ids.size
-        build_bm = n_docs >= 4 * _BLOCKMAX_B
         for t in dict.fromkeys(terms):
             docs = self.postings_full(t)[0]
-            if build_bm and docs.size:
-                self._block_max_tfn(t, _BLOCKMAX_B)
             if docs.size and docs.size >= self.DENSE_TFN_THRESHOLD * n_docs:
                 # stopword-grade term: pre-build the dense tf-norm vector
                 # so the first query doesn't pay the one-time scatter
@@ -553,10 +523,10 @@ class IndexSearcher:
 
     def clear_caches(self) -> dict:
         """The reference's clear-cache API (NeuralSparseIndexShard.clearCache):
-        drop decoded postings + block-max caches, credit the breaker, and
-        return the breaker snapshot (used_bytes should drop to ~0)."""
+        drop decoded postings + dense tf-norm caches, credit the breaker,
+        and return the breaker snapshot (used_bytes should drop to ~0)."""
         self._cache.clear()
-        self._bm_cache.clear()
+        self._dense_cache.clear()
         self._dense_refused.clear()
         return self.breaker.snapshot()
 
@@ -594,16 +564,22 @@ class IndexSearcher:
             scores += contrib
         return scores
 
+    def _idfs(self, terms: list[str], global_dfs=None) -> np.ndarray:
+        """Per-term BM25 idfs (0 for an absent term) from ``global_dfs``
+        (aligned with ``terms``) when given, else from local dfs."""
+        if global_dfs is None:
+            global_dfs = [self.local_df(t) for t in terms]
+        return bm25_term_idfs(global_dfs, self.n_docs)
+
     def search_bm25(
         self,
         terms: list[str],
         k: int = 10,
         *,
         global_dfs: np.ndarray | None = None,
-        query_weights: np.ndarray | None = None,
-        pruning: str = "maxscore",
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k BM25 over this searcher's shards (exact, either path).
+        """Top-k BM25 over this searcher's shards (exact; one kernel,
+        ``_search_dense``).
 
         ``global_dfs``: per-(sorted-unique)-term GLOBAL document
         frequencies, for shard-subset actors (driver supplies them so idf
@@ -612,37 +588,8 @@ class IndexSearcher:
         terms = sorted(set(terms))
         if not terms:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        if global_dfs is None:
-            dfs = np.asarray([self.local_df(t) for t in terms], dtype=np.float64)
-        else:
-            dfs = np.asarray(global_dfs, dtype=np.float64)
-        idfs = np.where(dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), self.n_docs), 0.0)
-
         stats.incr("bm25_queries")
-        if pruning == "maxscore" and len(terms) > 1:
-            result = self._search_maxscore(terms, idfs, k, query_weights)
-            if result is not None:
-                stats.incr("maxscore_certified")
-                return result
-        # full-union path; when the union covers a large fraction of the
-        # shard docs (stopword-grade queries), use BLOCK-MAX pruning over
-        # doc-space-aligned blocks — exact, and bounds the scan that the
-        # round-1 dense accumulator always paid in full
-        total_df = sum(self.local_df(t) for t in terms)
-        if total_df > 0.05 * max(self._dl_doc_ids.size, 1):
-            if (
-                pruning != "none"
-                and self._dl_doc_ids.size >= 4 * _BLOCKMAX_B
-            ):
-                return self._search_blockmax(terms, idfs, k, query_weights)
-            return self._search_dense(terms, idfs, k, query_weights)
-        nonempty = [self.postings(t)[0] for t in terms]
-        nonempty = [d for d in nonempty if d.size]
-        if not nonempty:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        cand = np.unique(np.concatenate(nonempty)) if len(nonempty) > 1 else nonempty[0]
-        scores = self._score_candidates(cand, terms, idfs, query_weights)
-        return topk_desc(cand, scores, k)
+        return self._search_dense(terms, self._idfs(terms, global_dfs), k)
 
     def search_phrase(
         self,
@@ -1027,15 +974,7 @@ class IndexSearcher:
             weights = np.asarray([mult[t] for t in sterms], dtype=np.float64)
             # global_dfs: per-(sorted-distinct-scoring-term) GLOBAL doc
             # frequencies for shard-subset actors, as in search_bm25
-            if global_dfs is None:
-                dfs = np.asarray(
-                    [self.local_df(t) for t in sterms], dtype=np.float64
-                )
-            else:
-                dfs = np.asarray(global_dfs, dtype=np.float64)
-            idfs = np.where(
-                dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), self.n_docs), 0.0
-            )
+            idfs = self._idfs(sterms, global_dfs)
             scores = self._score_candidates(cand, sterms, idfs, weights)
         else:  # filter-only query: constant 0.0, doc_id-ordered
             scores = np.zeros(cand.size, dtype=np.float64)
@@ -1695,15 +1634,7 @@ class IndexSearcher:
         cand = docs[cnts >= minimum_should_match]
         if cand.size == 0:
             return empty
-        if global_dfs is None:
-            dfs = np.asarray(
-                [self.local_df(t) for t in sterms], dtype=np.float64
-            )
-        else:
-            dfs = np.asarray(global_dfs, dtype=np.float64)
-        idfs = np.where(
-            dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), self.n_docs), 0.0
-        )
+        idfs = self._idfs(sterms, global_dfs)
         scores = self._score_candidates(cand, sterms, idfs, None)
         return topk_desc(cand, scores, k)
 
@@ -2359,15 +2290,7 @@ class IndexSearcher:
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not sterms:
             return empty
-        if global_dfs is None:
-            dfs = np.asarray(
-                [self.local_df(t) for t in sterms], dtype=np.float64
-            )
-        else:
-            dfs = np.asarray(global_dfs, dtype=np.float64)
-        idfs = np.where(
-            dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), self.n_docs), 0.0
-        )
+        idfs = self._idfs(sterms, global_dfs)
         cand = self._match_union(sterms)
         if cand.size == 0:
             return empty
@@ -2443,15 +2366,7 @@ class IndexSearcher:
         sterms = sorted(set(terms))
         if not sterms:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        if global_dfs is None:
-            dfs = np.asarray(
-                [self.local_df(t) for t in sterms], dtype=np.float64
-            )
-        else:
-            dfs = np.asarray(global_dfs, dtype=np.float64)
-        idfs = np.where(
-            dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), self.n_docs), 0.0
-        )
+        idfs = self._idfs(sterms, global_dfs)
         cand = self._match_union(sterms)
         if cand.size == 0:
             return cand, np.empty(0, np.float64)
@@ -3053,15 +2968,9 @@ class IndexSearcher:
         sterms = sorted(mult)
         if sterms:
             weights = np.asarray([mult[t] for t in sterms], dtype=np.float64)
-            dfs = np.asarray(
-                [
-                    self.local_df(t) if global_dfs is None else global_dfs[t]
-                    for t in sterms
-                ],
-                dtype=np.float64,
-            )
-            idfs = np.where(
-                dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), self.n_docs), 0.0
+            idfs = self._idfs(
+                sterms,
+                None if global_dfs is None else [global_dfs[t] for t in sterms],
             )
             scores = self._score_candidates(cand, sterms, idfs, weights)
         else:
@@ -3145,12 +3054,10 @@ class IndexSearcher:
         form only pays for itself when built ONCE, so on refusal the
         caller must stay on the scatter path (rebuilding 9n bytes per
         query would be slower than the scatter-add it replaces). Cached
-        in the RAM-accounted LRU under (term, -1) — the block-max cache's
-        key space uses B > 0 so keys can't collide."""
+        in the RAM-accounted LRU."""
         if term in self._dense_refused:
             return None
-        key = (term, -1)
-        hit = self._bm_cache.get(key)
+        hit = self._dense_cache.get(term)
         if hit is not None:
             return hit
         _, _, pos, tfn = self.postings_full(term)
@@ -3160,20 +3067,20 @@ class IndexSearcher:
         present = np.zeros(n, dtype=bool)
         present[pos] = True
         val = (dense, present)
-        self._bm_cache.put(key, val)
-        if self._bm_cache.get(key) is None:  # breaker refused the bytes
+        self._dense_cache.put(term, val)
+        if self._dense_cache.get(term) is None:  # breaker refused the bytes
             self._dense_refused.add(term)
             return None
         return val
 
-    def _search_dense(self, terms, idfs, k, query_weights):
+    def _search_dense(self, terms, idfs, k):
         """Dense-accumulator scoring over the shard's doc space: postings
         carry precomputed local positions, so each term is one
         scatter-add — or, for high-coverage (stopword-grade) terms, one
         contiguous add of the cached dense tf-norm vector (adding w·0 at
         absent docs is a float no-op, so scores stay bitwise identical).
         Accumulation order = sorted terms, same expression — identical
-        scores to the candidate path."""
+        scores to ``_score_candidates``."""
         n = self._dl_doc_ids.size
         scores = np.zeros(n, dtype=np.float64)
         touched = np.zeros(n, dtype=bool)
@@ -3183,7 +3090,6 @@ class IndexSearcher:
             docs, _, pos, tfn = self.postings_full(t)
             if docs.size == 0:
                 continue
-            w = idfs[i] if query_weights is None else idfs[i] * query_weights[i]
             dt = (
                 self._dense_term(t)
                 if pos.size >= self.DENSE_TFN_THRESHOLD * n
@@ -3191,10 +3097,10 @@ class IndexSearcher:
             )
             if dt is not None:
                 dense, present = dt
-                scores += w * dense
+                scores += idfs[i] * dense
                 touched |= present
             else:
-                scores[pos] += w * tfn  # doc appears once per posting list
+                scores[pos] += idfs[i] * tfn  # doc appears once per posting list
                 touched[pos] = True
         cand_pos = np.flatnonzero(touched)
         if cand_pos.size == 0:
@@ -3202,173 +3108,6 @@ class IndexSearcher:
         if cand_pos.size == n:  # full coverage: skip two n-sized gathers
             return topk_desc(self._dl_doc_ids, scores, k)
         return topk_desc(self._dl_doc_ids[cand_pos], scores[cand_pos], k)
-
-    def _block_max_tfn(self, term: str, B: int) -> np.ndarray:
-        """Dense per-doc-space-block max of the precomputed tf-norm for a
-        term (query-INDEPENDENT, so cacheable): block b covers local doc
-        positions [b·B, (b+1)·B). Built once per (term, B) from the
-        decoded postings with one reduceat; ~df/B floats for hot terms —
-        128-1024x smaller than the postings themselves."""
-        key = (term, B)
-        hit = self._bm_cache.get(key)
-        if hit is not None:
-            return hit
-        _, _, pos, tfn = self.postings_full(term)
-        n_blocks = (self._dl_doc_ids.size + B - 1) // B
-        arr = np.zeros(n_blocks, dtype=np.float64)
-        if pos.size:
-            blocks = pos // B  # pos sorted → blocks sorted
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(blocks) != 0) + 1)
-            )
-            arr[blocks[starts]] = np.maximum.reduceat(tfn, starts)
-        self._bm_cache.put(key, arr)
-        return arr
-
-    def _search_blockmax(self, terms, idfs, k, query_weights):
-        """Block-max WAND over doc-space-aligned blocks (Ding & Suel
-        SIGIR'11 adapted to cached decoded postings; the reference's
-        cluster-skipping analogue is SeismicBaseScorer.java:202-220).
-
-        EXACT: blocks are scored in upper-bound-descending order; once k
-        exact scores are held, a block is skipped only when its UB is
-        STRICTLY below the current k-th best score (ties can still enter
-        and win on doc_id, so equality is never pruned). Scoring inside a
-        block accumulates terms in the same sorted order as the dense
-        path — bitwise-identical scores."""
-        B = _BLOCKMAX_B
-        n = self._dl_doc_ids.size
-        if n == 0:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        n_blocks = (n + B - 1) // B
-        ub = np.zeros(n_blocks, dtype=np.float64)
-        plists, ws = [], []
-        for i, t in enumerate(terms):
-            if idfs[i] == 0.0:
-                continue
-            _, _, pos, tfn = self.postings_full(t)
-            if pos.size == 0:
-                continue
-            w = idfs[i] if query_weights is None else idfs[i] * query_weights[i]
-            ub += abs(w) * self._block_max_tfn(t, B)
-            plists.append((pos, tfn))
-            ws.append(w)
-        if not plists:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        # Flat-UB early exit: when ~every block's UB is near the max,
-        # pruning cannot pay (uniform corpora) — the dense full scan is
-        # the optimal exact plan; skip the probe entirely.
-        q90 = np.partition(ub, int(0.9 * (n_blocks - 1)))[int(0.9 * (n_blocks - 1))]
-        if q90 >= 0.98 * ub.max():
-            stats.incr("blockmax_fallback_dense")
-            return self._search_dense(terms, idfs, k, query_weights)
-        # Phase 1 — probe the highest-UB blocks (Python loop over a
-        # handful of blocks) until k exact scores set the threshold.
-        order = np.argsort(-ub, kind="stable")
-        best_docs = np.empty(0, np.int64)
-        best_scores = np.empty(0, np.float64)
-        threshold = -np.inf
-        local = np.zeros(B, dtype=np.float64)
-        touched = np.zeros(B, dtype=bool)
-        probed = np.zeros(n_blocks, dtype=bool)
-        scanned = 0
-        for b in order:
-            if best_docs.size >= k and scanned >= 4:
-                break
-            base = int(b) * B
-            probed[b] = True
-            scanned += 1
-            local[:] = 0.0
-            touched[:] = False
-            for (pos, tfn), w in zip(plists, ws):
-                s0, e0 = np.searchsorted(pos, (base, base + B))
-                if s0 == e0:
-                    continue
-                lp = pos[s0:e0] - base
-                local[lp] += w * tfn[s0:e0]
-                touched[lp] = True
-            lidx = np.flatnonzero(touched)
-            if lidx.size == 0:
-                continue
-            best_docs = np.concatenate((best_docs, self._dl_doc_ids[base + lidx]))
-            best_scores = np.concatenate((best_scores, local[lidx]))
-        if best_docs.size >= k:
-            threshold = -np.partition(-best_scores, k - 1)[k - 1]
-        # Phase 2 — ONE vectorized pass over every unprobed block whose
-        # UB could still reach the top-k (prune strictly-below only, so
-        # score ties can still enter and win on doc_id).
-        sel = np.flatnonzero((ub >= threshold) & ~probed)
-        if sel.size >= 0.5 * n_blocks:
-            # UBs don't discriminate (uniform corpus / low threshold):
-            # pruning can't pay for its gather arithmetic — the dense
-            # full scan is the optimal exact plan here. Identical scores.
-            stats.incr("blockmax_fallback_dense")
-            return self._search_dense(terms, idfs, k, query_weights)
-        if sel.size:
-            lookup = np.full(n_blocks, -1, dtype=np.int64)
-            lookup[sel] = np.arange(sel.size)
-            m = sel.size * B
-            dense = np.zeros(m, dtype=np.float64)
-            dtouched = np.zeros(m, dtype=bool)
-            for (pos, tfn), w in zip(plists, ws):
-                cblock = lookup[pos // B]
-                kept = cblock >= 0
-                cpos = cblock[kept] * B + pos[kept] % B
-                dense[cpos] += w * tfn[kept]
-                dtouched[cpos] = True
-            didx = np.flatnonzero(dtouched)
-            if didx.size:
-                gpos = sel[didx // B] * B + didx % B
-                best_docs = np.concatenate((best_docs, self._dl_doc_ids[gpos]))
-                best_scores = np.concatenate((best_scores, dense[didx]))
-        stats.incr("blockmax_blocks_scanned", scanned + int(sel.size))
-        stats.incr("blockmax_blocks_skipped", n_blocks - scanned - int(sel.size))
-        return topk_desc(best_docs, best_scores, k)
-
-    def _search_maxscore(self, terms, idfs, k, query_weights):
-        """MaxScore split; returns None when pruning can't be certified."""
-        k1, b = self.bm25.k1, self.bm25.b
-        ubs = np.empty(len(terms))
-        for i, t in enumerate(terms):
-            mx = float(self.max_tf(t))
-            w = 1.0 if query_weights is None else abs(float(query_weights[i]))
-            ubs[i] = (
-                idfs[i] * (mx / (mx + k1 * (1.0 - b))) * w if mx > 0 else 0.0
-            )
-        # Split: essential terms drive candidate generation (their posting
-        # unions are scanned); the split is ANY partition — correctness
-        # comes from the final certificate: a doc with no essential term
-        # scores <= Σ UB(non-essential), so if that sum < the k-th best
-        # score among essential candidates, the result is exact.
-        # Heuristic: rare terms (small df) are essential; stopword-grade
-        # lists are skipped unless needed.
-        df_cut = max(1000, 16 * k)
-        local_dfs = np.asarray([self.local_df(t) for t in terms], dtype=np.int64)
-        essential = [i for i in range(len(terms)) if 0 < local_dfs[i] <= df_cut]
-        if not essential:
-            # every term is hot: the certificate will almost surely fail and
-            # we'd score the union twice — go straight to the full path
-            return None
-        non_essential = [i for i in range(len(terms)) if i not in essential]
-        if not non_essential:
-            return None  # nothing to prune
-        cand_lists = [self.postings(terms[i])[0] for i in essential]
-        cand_lists = [c for c in cand_lists if c.size]
-        if not cand_lists:
-            return None
-        cand = (
-            np.unique(np.concatenate(cand_lists))
-            if len(cand_lists) > 1
-            else cand_lists[0]
-        )
-        scores = self._score_candidates(cand, terms, idfs, query_weights)
-        docs, sc = topk_desc(cand, scores, k)
-        ne_ub = float(ubs[non_essential].sum())
-        threshold = sc[k - 1] if sc.size >= k else -np.inf
-        if sc.size >= k and ne_ub < threshold:
-            return docs, sc  # certified exact
-        stats.incr("maxscore_fallback")
-        return None  # fall back to full union
 
     def search_sparse_dot(
         self, token_weights: dict[str, float], k: int = 10

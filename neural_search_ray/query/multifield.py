@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bm25 import bm25_idf
+from .bm25 import bm25_term_idfs
 from .engine import IndexSearcher, topk_desc
 
 MULTI_MATCH_TYPES = ("best_fields", "most_fields", "cross_fields")
@@ -128,9 +128,7 @@ def _cross_fields(
                 [s.local_df(t) for t in sterms], dtype=np.float64
             )
     df_blend = np.maximum.reduce(list(dfs_by_field.values()))
-    idfs = np.where(
-        df_blend > 0, bm25_idf(np.maximum(df_blend, 1e-9), n_docs), 0.0
-    )
+    idfs = bm25_term_idfs(df_blend, n_docs)
 
     # per-term: (docs, max-over-fields score); collected, then summed on
     # the global union in sorted-term order
@@ -224,7 +222,7 @@ def search_combined_fields(
         avgdl_c = float(
             sum(w * s.avgdl for _, s, w in field_searchers)
         )
-    idfs = np.where(dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), n_docs), 0.0)
+    idfs = bm25_term_idfs(dfs, n_docs)
 
     term_parts: list[tuple[np.ndarray, np.ndarray]] = []
     for ti, t in enumerate(sterms):

@@ -70,13 +70,9 @@ def filtered_bm25_topk(
     """BM25 with filter pushdown: candidates ∩ accepted before scoring.
     Global stats (df, N, avgdl) are UNfiltered — matching Lucene, where a
     filter restricts matches but not corpus statistics."""
-    from .bm25 import bm25_idf
-
     terms = sorted(set(terms))
     accepted = np.unique(np.asarray(accepted_doc_ids, dtype=np.int64))
-    dfs = np.asarray([searcher.local_df(t) for t in terms], dtype=np.float64)
-    idfs = np.where(dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), searcher.n_docs), 0.0)
-    scores = searcher._score_candidates(accepted, terms, idfs, None)
+    scores = searcher._score_candidates(accepted, terms, searcher._idfs(terms), None)
     hit = scores > 0.0
     return topk_desc(accepted[hit], scores[hit], k)
 

@@ -9,7 +9,7 @@ Reference semantics (matched, code not copied):
   AND the breaker admits it.
 
 Ray placement: one breaker per ACTOR process (searcher / serving actor),
-guarding its decoded-postings + block-max caches. There is deliberately
+guarding its decoded-postings + dense tf-norm caches. There is deliberately
 no cross-actor coordination — like the reference's per-node breaker —
 because Ray's object store already applies global backpressure; this
 bounds the Python-heap side the object store can't see.

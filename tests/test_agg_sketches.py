@@ -256,7 +256,7 @@ class TestExtendedStats:
 class TestRankFeature:
     def test_saturation_matches_bruteforce(self, agg_searcher, doc_fields):
         terms = tokenize("data query")
-        bd, bs = agg_searcher.search_bm25(terms, k=10**6, pruning="none")
+        bd, bs = agg_searcher.search_bm25(terms, k=10**6)
         nmap = {d: n for d, (_, n) in doc_fields.items()}
         want = {
             d: s + 2.0 * (nmap[d] / (nmap[d] + 200.0))
@@ -280,7 +280,7 @@ class TestRankFeature:
         )
         assert ld.size == 10 and sd.size == 10
         # sigmoid contribution is bounded by boost
-        bd, bs = agg_searcher.search_bm25(terms, k=10**6, pruning="none")
+        bd, bs = agg_searcher.search_bm25(terms, k=10**6)
         base = dict(zip(bd.tolist(), bs.tolist()))
         for d, s in zip(sd.tolist(), ss.tolist()):
             assert 0.0 <= s - base[d] <= 1.0
@@ -514,7 +514,7 @@ class TestDecay:
         dd, ds_ = agg_searcher.search_decay(
             terms, "n_chars", origin=0, scale=10, offset=1e15, k=10
         )
-        bd, bs = agg_searcher.search_bm25(terms, k=10, pruning="none")
+        bd, bs = agg_searcher.search_bm25(terms, k=10)
         np.testing.assert_array_equal(dd, bd)
         np.testing.assert_allclose(ds_, bs, rtol=1e-15)
 
@@ -1200,7 +1200,7 @@ class TestStringStats:
 class TestDistanceFeature:
     def test_matches_bruteforce(self, s9_searcher, doc_fields):
         terms = tokenize("data query")
-        bd, bs = s9_searcher.search_bm25(terms, k=10**6, pruning="none")
+        bd, bs = s9_searcher.search_bm25(terms, k=10**6)
         nmap = {d: n for d, (_, n) in doc_fields.items()}
         want = {
             d: s + 2.0 * (50.0 / (50.0 + abs(nmap[d] - 300.0)))
@@ -1229,7 +1229,7 @@ class TestPinned:
         assert scores[:3].tolist() == [base, base - 1.0, base - 2.0]
         assert docs.size == 10
         # organic tail: BM25 order with the pins removed
-        bd, _ = s9_searcher.search_bm25(terms, k=20, pruning="none")
+        bd, _ = s9_searcher.search_bm25(terms, k=20)
         organic = [d for d in bd.tolist() if d not in (7, 3, 11)][:7]
         assert docs[3:].tolist() == organic
         assert (scores[3:] < base - 2.0).all()
@@ -1335,7 +1335,7 @@ class TestSpanOr:
 
     def test_single_clause_equals_bm25(self, s9_searcher):
         sd, ss = s9_searcher.search_span_or(["data"], k=10)
-        bd, bs = s9_searcher.search_bm25(["data"], k=10, pruning="none")
+        bd, bs = s9_searcher.search_bm25(["data"], k=10)
         assert sd.tolist() == bd.tolist()
         np.testing.assert_allclose(ss, bs, rtol=1e-12)
 

@@ -1,10 +1,13 @@
-"""Engine-level tests: MaxScore pruning exactness, multi-segment builds
-(the merge path), skew bounding, incremental/resume semantics."""
+"""Engine-level tests: BM25 rank identity against the oracle (fixed and
+property-drawn queries), multi-segment builds (the merge path), skew
+bounding, incremental/resume semantics."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 import ray
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neural_search_ray.config import IndexConfig
 from neural_search_ray.corpus.generator import generate_pages
@@ -14,24 +17,34 @@ from neural_search_ray.query.engine import IndexSearcher, topk_desc
 from tests.oracle import OracleIndex
 
 
+def _build_skewed(index_dir: str, posting_codec: str = "varint") -> None:
+    cfg = IndexConfig(num_shards=4, num_salts=2, posting_codec=posting_codec)
+    ds1 = generate_pages(400, seed=42).filter(lambda r: r["doc_id"] < 250)
+    ds2 = generate_pages(400, seed=42).filter(lambda r: r["doc_id"] >= 250)
+    build_index(ds1, index_dir, cfg, segment_id="seg-a", id_column="doc_id")
+    build_index(ds2, index_dir, cfg, segment_id="seg-b", id_column="doc_id")
+
+
 @pytest.fixture(scope="module")
 def skewed_index(tmp_path_factory, ray_session):
     """Synthetic pages (Zipf skew: 'the' in ~most docs) built in TWO
     segments — exercises the segment-merge semantics."""
     index_dir = str(tmp_path_factory.mktemp("skidx"))
-    cfg = IndexConfig(num_shards=4, num_salts=2)
-    ds1 = generate_pages(400, seed=42).filter(lambda r: r["doc_id"] < 250)
-    ds2 = generate_pages(400, seed=42).filter(lambda r: r["doc_id"] >= 250)
-    build_index(ds1, index_dir, cfg, segment_id="seg-a", id_column="doc_id")
-    build_index(ds2, index_dir, cfg, segment_id="seg-b", id_column="doc_id")
+    _build_skewed(index_dir)
     # oracle over the SAME corpus (single process)
-    import pyarrow as pa
-
     from neural_search_ray.corpus.generator import _gen_batch
 
     t = _gen_batch(pa.table({"id": list(range(400))}), 42)
     oracle = OracleIndex(dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist())))
     return index_dir, oracle
+
+
+@pytest.fixture(scope="module")
+def skewed_for_index(tmp_path_factory, skewed_index):
+    """The skewed_index corpus and segments, with posting_codec='for'."""
+    index_dir = str(tmp_path_factory.mktemp("skidx_for"))
+    _build_skewed(index_dir, "for")
+    return index_dir, skewed_index[1]
 
 
 def test_multi_segment_global_stats(skewed_index):
@@ -46,21 +59,79 @@ def test_multi_segment_global_stats(skewed_index):
 def test_multi_segment_rank_identity(skewed_index):
     index_dir, oracle = skewed_index
     s = IndexSearcher(index_dir)
-    for q in ["the data query", "merge sort", "w0500 w0200", "of the and"]:
+    for q in [
+        "the data query", "merge sort", "w0500 w0200", "of the and",
+        "the of and", "w0500 the", "data w0100 w0400",
+    ]:
         d, sc = s.search_bm25(q.split(), k=10)
         od, osc = oracle.search_bm25(q, k=10)
         assert d.tolist() == od, q
         assert np.allclose(sc, osc, atol=1e-12), q
 
 
-def test_maxscore_equals_full(skewed_index):
-    index_dir, _ = skewed_index
-    s = IndexSearcher(index_dir)
-    for q in ["the data", "the of and", "w0500 the", "data w0100 w0400"]:
-        d1, s1 = s.search_bm25(q.split(), k=10, pruning="maxscore")
-        d2, s2 = s.search_bm25(q.split(), k=10, pruning="none")
-        assert d1.tolist() == d2.tolist(), q
-        assert np.allclose(s1, s2, atol=0), q
+@pytest.fixture(scope="module")
+def differential(skewed_index, skewed_for_index):
+    """(oracle, term pools by df class over the skewed corpus,
+    {codec: (full searcher, shard-subset searcher factory)})."""
+    from neural_search_ray.analysis.analyzer import tokenize
+
+    oracle = skewed_index[1]
+    n = oracle.n_docs
+    stable = sorted(t for t in oracle.df if tokenize(t) == [t])
+    pools = {
+        "stop": [t for t in stable if oracle.df[t] >= 0.5 * n],
+        "common": [t for t in stable if 0.05 * n <= oracle.df[t] < 0.5 * n],
+        "rare": [t for t in stable if oracle.df[t] < 0.05 * n],
+        "oov": ["zzqx", "qqxv", "w99999"],
+    }
+    assert all(pools.values()) and not any(t in oracle.df for t in pools["oov"])
+    indexes = {}
+    for codec, (index_dir, _) in (("varint", skewed_index), ("for", skewed_for_index)):
+        subsets: dict = {}
+
+        def subset(shards, index_dir=index_dir, subsets=subsets):
+            key = tuple(shards)
+            if key not in subsets:
+                subsets[key] = IndexSearcher(index_dir, shards=list(shards))
+            return subsets[key]
+
+        indexes[codec] = (IndexSearcher(index_dir), subset)
+    return oracle, pools, indexes
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bm25_differential_against_oracle_and_shard_split(differential, data):
+    """Property: for 1–6 terms drawn from the stopword / common / rare /
+    out-of-vocabulary pools and any k, ``search_bm25`` matches the oracle
+    (doc ids exactly, scores to 1e-12), and the k-sized merge of
+    shard-subset searchers under global dfs equals the full searcher bit
+    for bit — on both posting codecs."""
+    from neural_search_ray.query.distributed import _merge_topk
+
+    oracle, pools, indexes = differential
+    full, subset = indexes[data.draw(st.sampled_from(sorted(indexes)))]
+    term = st.sampled_from(sorted(pools)).flatmap(lambda c: st.sampled_from(pools[c]))
+    terms = data.draw(st.lists(term, min_size=1, max_size=6))
+    k = data.draw(st.integers(1, 120))
+    n_shards = full.manifest.num_doc_shards
+    owner = data.draw(  # owner[s] = the actor serving shard s
+        st.lists(st.integers(0, n_shards - 1), min_size=n_shards, max_size=n_shards)
+    )
+
+    d, sc = full.search_bm25(terms, k)
+    od, osc = oracle.search_bm25(" ".join(terms), k)
+    assert d.tolist() == od
+    assert np.allclose(sc, osc, rtol=0, atol=1e-12)
+
+    sterms = sorted(set(terms))
+    gdfs = np.asarray([full.local_df(t) for t in sterms], dtype=np.float64)
+    groups = [[s for s in range(n_shards) if owner[s] == a] for a in sorted(set(owner))]
+    md, msc = _merge_topk(
+        [subset(g).search_bm25(sterms, k, global_dfs=gdfs) for g in groups], k
+    )
+    assert md.tolist() == d.tolist()
+    assert np.array_equal(msc, sc)
 
 
 def test_hot_term_bounded_by_doc_sharding(skewed_index):
@@ -220,9 +291,8 @@ def test_msearch_identity_and_transport(skewed_index, ray_session):
 
 def test_for_codec_rank_identity(tmp_path, ray_session):
     """An index built with posting_codec='for' (bit-packed FOR) returns
-    bitwise-identical BM25 results to the default varint build, across
-    the maxscore, dense, and block-max paths — and a second segment with
-    a mismatched codec is refused."""
+    bitwise-identical BM25 results to the default varint build — and a
+    second segment with a mismatched codec is refused."""
     import pytest
 
     from neural_search_ray.corpus.generator import generate_pages
@@ -238,11 +308,10 @@ def test_for_codec_rank_identity(tmp_path, ray_session):
     sv, sf = cfgs["varint"], cfgs["for"]
     assert sf.manifest.posting_codec == "for"
     for q in ["the data query", "merge w0500 of", "the of and", "w0007"]:
-        for pruning in ("maxscore", "none"):
-            dv, scv = sv.search_bm25(q.split(), k=10, pruning=pruning)
-            df_, scf = sf.search_bm25(q.split(), k=10, pruning=pruning)
-            assert dv.tolist() == df_.tolist(), (q, pruning)
-            assert np.array_equal(scv, scf), (q, pruning)
+        dv, scv = sv.search_bm25(q.split(), k=10)
+        df_, scf = sf.search_bm25(q.split(), k=10)
+        assert dv.tolist() == df_.tolist(), q
+        assert np.array_equal(scv, scf), q
     with pytest.raises(ValueError, match="posting_codec"):
         build_index(
             ds, str(tmp_path / "for"),
@@ -374,56 +443,17 @@ def test_norm4_quantized_rank_identity(tmp_path, ray_session):
         assert np.allclose(sc, osc, atol=1e-12), q
 
 
-class TestBlockMax:
-    def test_blockmax_exact_and_skips(self, tmp_path):
-        """Doc-locality skew: hot-tf docs cluster in the first blocks, so
-        block-max UBs discriminate — the engine must skip cold blocks AND
-        return results bitwise-identical to the unpruned scan."""
-        import ray.data
+def test_all_tied_scores_order_by_doc_id(tmp_path):
+    """Every doc identical → all scores tie; the top-k must be the
+    smallest doc_ids (ties break on doc_id asc)."""
+    import ray.data
 
-        from neural_search_ray.config import IndexConfig
-        from neural_search_ray.index.build import build_index
-        from neural_search_ray.query.engine import IndexSearcher
-        from neural_search_ray.state.stats import stats
-
-        n = 60_000
-        # equal dl everywhere so length norm can't invert the skew:
-        # hot docs carry tf_w=6/tf_x=2, cold docs tf 1/1 + filler
-        texts = [
-            "w w w w w w x x" if i < 2048 else "w x f f f f f f"
-            for i in range(n)
-        ]
-        t = pa.table({
-            "doc_id": pa.array(np.arange(n, dtype=np.int64)),
-            "text": pa.array(texts),
-        })
-        idx = str(tmp_path / "bmw")
-        build_index(ray.data.from_arrow(t), idx, IndexConfig(num_shards=1, num_salts=1))
-        s = IndexSearcher(idx)
-        before = stats.snapshot().get("blockmax_blocks_skipped", 0)
-        d1, s1 = s.search_bm25(["w", "x"], k=10)
-        skipped = stats.snapshot().get("blockmax_blocks_skipped", 0) - before
-        d0, s0 = s.search_bm25(["w", "x"], k=10, pruning="none")
-        assert d1.tolist() == d0.tolist()
-        assert np.array_equal(s1, s0)
-        assert skipped > 40  # ~56 of 59 blocks are cold and must be skipped
-
-    def test_blockmax_tie_not_pruned(self, tmp_path):
-        """Every doc identical → all scores tie; block-max must not drop
-        the smallest doc_ids (ties enter on equality, prune is strict)."""
-        import ray.data
-
-        from neural_search_ray.config import IndexConfig
-        from neural_search_ray.index.build import build_index
-        from neural_search_ray.query.engine import IndexSearcher
-
-        n = 8192
-        t = pa.table({
-            "doc_id": pa.array(np.arange(n, dtype=np.int64)),
-            "text": pa.array(["w x"] * n),
-        })
-        idx = str(tmp_path / "ties")
-        build_index(ray.data.from_arrow(t), idx, IndexConfig(num_shards=1, num_salts=1))
-        s = IndexSearcher(idx)
-        d1, _ = s.search_bm25(["w", "x"], k=10)
-        assert d1.tolist() == list(range(10))  # tie-break: doc_id asc
+    n = 8192
+    t = pa.table({
+        "doc_id": pa.array(np.arange(n, dtype=np.int64)),
+        "text": pa.array(["w x"] * n),
+    })
+    idx = str(tmp_path / "ties")
+    build_index(ray.data.from_arrow(t), idx, IndexConfig(num_shards=1, num_salts=1))
+    d1, _ = IndexSearcher(idx).search_bm25(["w", "x"], k=10)
+    assert d1.tolist() == list(range(10))

@@ -229,10 +229,10 @@ def test_dense_term_breaker_refusal_falls_back_to_scatter(tmp_path):
     s = IndexSearcher(idx, cache_limit_bytes=1000)
     big = IndexSearcher(idx)  # unlimited → dense path allowed
     terms = ["common", "rare5"]
-    d1, s1 = s.search_bm25(terms, k=5, pruning="none")
-    d2, s2 = big.search_bm25(terms, k=5, pruning="none")
+    d1, s1 = s.search_bm25(terms, k=5)
+    d2, s2 = big.search_bm25(terms, k=5)
     assert d1.tolist() == d2.tolist()
     np.testing.assert_allclose(s1, s2, rtol=0, atol=0)
     assert "common" in s._dense_refused  # memoized, not rebuilt per query
-    s.search_bm25(terms, k=5, pruning="none")  # second query: still fine
+    s.search_bm25(terms, k=5)  # second query: still fine
 

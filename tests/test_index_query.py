@@ -205,7 +205,7 @@ class TestExplainBM25:
         s = IndexSearcher(d)
         for q in ("data query", "merge sort window", "the fast join"):
             terms = q.split()
-            docs, scores = s.search_bm25(terms, k=5, pruning="none")
+            docs, scores = s.search_bm25(terms, k=5)
             for doc, score in zip(docs.tolist(), scores.tolist()):
                 rows = s.explain_bm25(terms, doc)
                 assert rows, (q, doc)

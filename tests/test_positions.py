@@ -541,7 +541,7 @@ class TestSpanContainers:
     def test_within_subset_of_term_matches(self, pos_index):
         s = IndexSearcher(pos_index)
         wd, _ = s.search_span_within("data", ["data", "query"], k=10**6)
-        td, _ = s.search_bm25(["data"], k=10**6, pruning="none")
+        td, _ = s.search_bm25(["data"], k=10**6)
         assert set(wd.tolist()) <= set(td.tolist())
 
     def test_empty_cases(self, pos_index):

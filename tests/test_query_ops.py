@@ -770,7 +770,7 @@ class TestDistributedQueryOps:
 class TestDisMax:
     def _brute(self, searcher, subs, tb, k=10):
         parts = [
-            searcher.search_bm25(sub, k=10**6, pruning="none")
+            searcher.search_bm25(sub, k=10**6)
             for sub in subs
         ]
         acc = {}
@@ -802,9 +802,7 @@ class TestDisMax:
         dd, ds = searcher.search_dis_max(
             [["data", "query"], ["join"]], k=10, tie_breaker=1.0
         )
-        bd, bs = searcher.search_bm25(
-            ["data", "query", "join"], k=10, pruning="none"
-        )
+        bd, bs = searcher.search_bm25(["data", "query", "join"], k=10)
         assert dd.tolist() == bd.tolist()
         np.testing.assert_allclose(ds, bs, rtol=1e-12)
 
@@ -817,9 +815,7 @@ class TestDisMax:
 
 class TestBoosting:
     def test_demotes_but_keeps(self, searcher):
-        pd_, ps = searcher.search_bm25(
-            ["data", "query"], k=10**6, pruning="none"
-        )
+        pd_, ps = searcher.search_bm25(["data", "query"], k=10**6)
         docs, scores = searcher.search_boosting(
             ["data", "query"], ["slow"], negative_boost=0.5, k=10**6
         )
@@ -831,7 +827,7 @@ class TestBoosting:
             assert s == want, d
 
     def test_boost_one_is_identity(self, searcher):
-        bd, bs = searcher.search_bm25(["merge", "sort"], k=10, pruning="none")
+        bd, bs = searcher.search_bm25(["merge", "sort"], k=10)
         dd, ds = searcher.search_boosting(
             ["merge", "sort"], ["the"], negative_boost=1.0, k=10
         )
@@ -839,7 +835,7 @@ class TestBoosting:
         np.testing.assert_array_equal(ds, bs)
 
     def test_unknown_negative_and_validation(self, searcher):
-        bd, _ = searcher.search_bm25(["data"], k=10, pruning="none")
+        bd, _ = searcher.search_bm25(["data"], k=10)
         dd, _ = searcher.search_boosting(["data"], ["zzznope"], k=10)
         np.testing.assert_array_equal(dd, bd)
         with pytest.raises(ValueError):
@@ -874,7 +870,7 @@ class TestTopHits:
             )
         )
         terms = ["data", "query"]
-        cd, cs = dv_searcher.search_bm25(terms, k=10**6, pruning="none")
+        cd, cs = dv_searcher.search_bm25(terms, k=10**6)
         cs = np.floor(cs * 1e6 + 0.5) / 1e6
         want = {}
         for lang in sorted(set(langs.values())):
@@ -1052,7 +1048,7 @@ class TestSynonymQuery:
 
     def test_single_term_group_is_plain_bm25(self, searcher):
         sd, ss = searcher.search_synonym([["data"]], k=10)
-        bd, bs = searcher.search_bm25(["data"], k=10, pruning="none")
+        bd, bs = searcher.search_bm25(["data"], k=10)
         np.testing.assert_array_equal(sd, bd)
         np.testing.assert_allclose(ss, bs, rtol=1e-15)
 
@@ -1060,7 +1056,7 @@ class TestSynonymQuery:
         sd, ss = searcher.search_synonym(
             [["zzznope", "qqqmissing"], ["data"]], k=10
         )
-        bd, _ = searcher.search_bm25(["data"], k=10, pruning="none")
+        bd, _ = searcher.search_bm25(["data"], k=10)
         np.testing.assert_array_equal(sd, bd)
         d, _ = searcher.search_synonym([["zzznope"]], k=5)
         assert d.size == 0

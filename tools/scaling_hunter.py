@@ -4,11 +4,13 @@ The shared box gets co-tenant waves that clip any 32-cpu leg; idle gaps
 between waves last a few minutes. This tool polls 1-/5-min loadavg and
 fires ONE paired leg set (high leg first — see bench.run_scaling_paired)
 the moment the box is genuinely idle, appending each pair to a JSONL
-log. Stops on a clean pair meeting the target, or at the deadline.
+log. Runs a fixed number of attempts (never stopping early on a good
+pair, which would bias the record upward), or stops at the deadline,
+then prints the median clean-pair efficiency.
 
-Usage:
-  PYTHONPATH=/root/repo python tools/scaling_hunter.py \
-      [--minutes 90] [--target 0.8] [--out /tmp/paired_hunt.jsonl]
+Usage, from the repository root:
+  PYTHONPATH=. python tools/scaling_hunter.py \
+      [--minutes 90] [--attempts 5] [--out /tmp/paired_hunt.jsonl]
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -26,7 +29,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--minutes", type=float, default=90.0)
-    ap.add_argument("--target", type=float, default=0.8)
+    ap.add_argument("--attempts", type=int, default=5)
     ap.add_argument("--idle1", type=float, default=1.0)
     ap.add_argument("--idle5", type=float, default=2.5)
     ap.add_argument("--poll", type=float, default=45.0)
@@ -36,7 +39,8 @@ def main() -> None:
 
     deadline = time.time() + args.minutes * 60
     attempt = 0
-    while time.time() < deadline:
+    clean: list[float] = []
+    while attempt < args.attempts and time.time() < deadline:
         l1, l5, _ = os.getloadavg()
         if l1 < args.idle1 and l5 < args.idle5:
             attempt += 1
@@ -67,11 +71,11 @@ def main() -> None:
                   f"clean={p.get('clean')} "
                   f"loads={p.get('loads_hi_then_lo')} "
                   f"err={p.get('error')}", flush=True)
-            if p.get("clean") and (p.get("efficiency") or 0) >= args.target:
-                print("[hunter] clean pair at target — done", flush=True)
-                return
+            if p.get("clean"):
+                clean.append(p["efficiency"])
         time.sleep(args.poll)
-    print("[hunter] deadline reached", flush=True)
+    print(f"[hunter] {attempt} attempts, {len(clean)} clean; median clean "
+          f"efficiency {statistics.median(clean) if clean else None}", flush=True)
 
 
 if __name__ == "__main__":
