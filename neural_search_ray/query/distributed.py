@@ -1,23 +1,34 @@
 """Distributed query execution: shard-parallel actor fan-out.
 
 The Ray restatement of OpenSearch's coordinator → data-node shard search
-(SURVEY.md §3.2, query-then-fetch): a pool of ``ShardSearchActor``s each
-holds a disjoint doc-shard subset (warmup in __init__); the driver
+(SURVEY.md §3.2, query-then-fetch): each searcher opens a *view* over a
+disjoint doc-shard subset on each of its shard hosts; the driver
 resolves GLOBAL term statistics first (df summed over actors — the
 coordinator's role; global stats are required for rank-identical BM25,
 SURVEY.md §2.5), broadcasts them with each query, and merges per-shard
 top-k with the same (score desc, doc_id asc) ordering — proven equal to
 a single-searcher run in tests/test_engine_advanced.py.
 
-Actor shape: the BM25 hot path keeps dedicated methods (``stats``,
-``local_dfs``, ``search``, ``msearch``); every other shard op goes
-through ONE generic ``run(fn, *args, **kwargs)`` that evaluates
-``fn(searcher, ...)`` on the actor's shard subset. ``fn`` is an unbound
-``IndexSearcher`` method or a module-level ``(searcher, ...)`` function
-below, so it pickles by reference. The coordinator fans out with
-``_all`` (per-actor results), ``_topk`` (concat + ``topk_desc`` merge),
-``_gdfs`` (cached global dfs), ``_digest`` (merged t-digest) and
-``_key_sum`` (partial-map sum).
+Actor shape: ONE actor class, ``ShardHost``, holds any number of
+searcher *views*, ``{view id: searcher state}``. Every host method
+(``open``, ``close``, ``stats``, ``local_dfs``, ``search``, ``msearch``,
+``run``) takes the view key first, and a host that lacks the view (after
+a restart, say) opens it from the key itself: the key carries the view
+id, the state factory, its source, the shard chunk and a digest of
+``manifest.json`` plus the tombstone files the coordinator read, and a
+host opens no other index generation (``StaleIndexView``). Hosts are
+shared: a per-Ray-session registry lends live hosts to each new pool,
+spawns only the missing ones, and ``shutdown`` kills a host as soon as
+no pool borrows it — so a searcher reopened while the old one is still
+open pays the ``IndexSearcher`` open plus warmup, not a process spawn.
+The BM25 hot path keeps dedicated methods (``stats``, ``local_dfs``,
+``search``, ``msearch``); every other shard op goes through ONE generic
+``run(key, fn, *args, **kwargs)`` that evaluates ``fn(searcher, ...)``
+on the view. ``fn`` is an unbound ``IndexSearcher`` method or a
+module-level ``(searcher, ...)`` function below, so it pickles by
+reference. The coordinator fans out with ``_all`` (per-actor results),
+``_topk`` (concat + ``topk_desc`` merge), ``_gdfs`` (cached global
+dfs), ``_digest`` (merged t-digest) and ``_key_sum`` (partial-map sum).
 
 At 256-node scale this is the serving topology: actors pinned per node
 via ``ray.remote(num_cpus=...)``, shard assignment from the manifest,
@@ -26,7 +37,13 @@ query batches routed with ``map_batches`` or direct actor calls.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
+import os
+import types
+import uuid
+import weakref
 
 import numpy as np
 
@@ -34,46 +51,115 @@ import ray
 
 from ..agg.sketches import HyperLogLog, TDigest, hash64
 from ..analysis.analyzer import tokenize
-from ..index.manifest import IndexManifest
+from ..index.deletes import TOMBSTONE_DIR
+from ..index.manifest import MANIFEST_NAME, IndexManifest
 from .engine import IndexSearcher, finish_string_stats, levenshtein, topk_desc
 from .multifield import search_multi_match
 from .queryparser import collect_query_terms, execute_query_string, parse_query
 from .significant import combine_significant, significant_partial
 
 
-class _ShardHost:
-    """Actor body shared by both pools: ``self.searcher`` is the state
-    built over the actor's shard subset."""
+class StaleIndexView(RuntimeError):
+    """A shard host was asked to open a searcher view of an index
+    generation that is no longer the one on disk (the index changed
+    after the coordinator opened it, e.g. before a host restart)."""
 
-    def run(self, fn, *args, **kwargs):
-        """The generic shard op: ``fn(searcher, *args, **kwargs)`` over
-        this actor's shard subset."""
-        return fn(self.searcher, *args, **kwargs)
+
+def _index_digest(dirs: list[str]) -> str:
+    """Digest of what an ``IndexSearcher`` open reads to fix its view:
+    ``manifest.json`` plus every tombstone file, for each index dir."""
+    h = hashlib.sha1()
+    for d in dirs:
+        paths = [os.path.join(d, MANIFEST_NAME)]
+        tdir = os.path.join(d, TOMBSTONE_DIR)
+        if os.path.isdir(tdir):
+            paths += [os.path.join(tdir, f) for f in sorted(os.listdir(tdir))
+                      if f.endswith(".parquet")]
+        for p in paths:
+            with open(p, "rb") as f:
+                h.update(p.encode() + b"\0" + f.read())
+    return h.hexdigest()
+
+
+def _open_fields(
+    field_dirs: list, *, shards: list[int]
+) -> list[tuple[str, IndexSearcher, float]]:
+    """Multi-field view state: the SAME doc-shard subset of EVERY field
+    index (doc_shard = doc_id % num_doc_shards is field-independent, so
+    the per-field subsets are aligned by construction), as the (field,
+    IndexSearcher, boost) list search_multi_match takes."""
+    return [(f, IndexSearcher(d, shards=shards), b) for f, d, b in field_dirs]
+
+
+# The view states a view key can name: ``factory(source, shards=[...])``.
+_FACTORIES = {"index": IndexSearcher, "fields": _open_fields}
+
+
+def _open_view(key: list):
+    """Open a view from its key — everything a host needs, by value:
+    ``[view id, factory name, source, shard chunk, digest]``, where the
+    source is an index dir or ``[[field, dir, boost], ...]`` and the
+    digest pins the index generation the coordinator read. Any other
+    generation is refused (checked before and after the open, so a
+    commit landing mid-open cannot slip a newer index in).
+
+    The key is a plain list of strs/ints/floats because every call
+    carries it: Ray ships such lists on its msgpack path, while a
+    dataclass or tuple is pickled (~10–25 µs per host per call)."""
+    _, factory, source, shards, digest = key
+    dirs = [source] if factory == "index" else [d for _, d, _ in source]
+    if _index_digest(dirs) == digest:
+        state = _FACTORIES[factory](source, shards=shards)
+        if _index_digest(dirs) == digest:
+            return state
+    raise StaleIndexView(
+        f"index at {dirs} changed since this searcher was opened; "
+        "open a new searcher to see the current generation"
+    )
 
 
 @ray.remote
-class ShardSearchActor(_ShardHost):
-    def __init__(self, index_dir: str, shards: list[int]):
-        self.searcher = IndexSearcher(index_dir, shards=shards)
+class ShardHost:
+    """A serving process shared by every searcher generation: ``views``
+    maps a view id to its state (an ``IndexSearcher``, or the multi-field
+    list), opened lazily from the view key each call carries."""
 
-    def stats(self) -> tuple[int, float]:
+    def __init__(self):
+        self.views: dict[str, object] = {}
+
+    def _view(self, key: list):
+        state = self.views.get(key[0])
+        if state is None:
+            state = self.views[key[0]] = _open_view(key)
+        return state
+
+    def open(self, key: list) -> None:
+        self._view(key)
+
+    def close(self, key: list) -> None:
+        self.views.pop(key[0], None)
+
+    def stats(self, key: list) -> tuple[int, float]:
         """(n_docs, avgdl), both from the manifest — identical on every
         actor since the manifest is global; kept for interface
         completeness (and as the no-op RPC probe)."""
-        return self.searcher.n_docs, self.searcher.avgdl
+        s = self._view(key)
+        return s.n_docs, s.avgdl
 
-    def local_dfs(self, terms: list[str]) -> list[int]:
-        return [self.searcher.local_df(t) for t in terms]
+    def local_dfs(self, key: list, terms: list[str]) -> list[int]:
+        s = self._view(key)
+        return [s.local_df(t) for t in terms]
 
     def search(
-        self, terms: list[str], k: int, global_dfs: list[float]
+        self, key: list, terms: list[str], k: int, global_dfs: list[float]
     ) -> tuple[np.ndarray, np.ndarray]:
-        return self.searcher.search_bm25(
+        return self._view(key).search_bm25(
             terms, k, global_dfs=np.asarray(global_dfs, dtype=np.float64)
         )
 
     def msearch(
         self,
+        key: list,
         term_lists: list[list[str]],
         k: int,
         gdfs_lists: list[list[float]],
@@ -83,25 +169,91 @@ class ShardSearchActor(_ShardHost):
         serves repeats), and the batch pays ONE task round-trip instead
         of one per query — the _msearch API, and the serving shape that
         matters at cluster scale where per-call latency is network-bound."""
+        s = self._view(key)
         return [
-            self.searcher.search_bm25(
-                terms, k, global_dfs=np.asarray(gdfs, dtype=np.float64)
-            )
+            s.search_bm25(terms, k, global_dfs=np.asarray(gdfs, dtype=np.float64))
             for terms, gdfs in zip(term_lists, gdfs_lists)
         ]
 
+    def run(self, key: list, fn, *args, **kwargs):
+        """The generic shard op: ``fn(state, *args, **kwargs)`` over
+        this view's shard subset."""
+        return fn(self._view(key), *args, **kwargs)
 
-@ray.remote
-class MultiFieldShardActor(_ShardHost):
-    """One actor holding the SAME doc-shard subset of EVERY field index
-    (doc_shard = doc_id % num_doc_shards is field-independent, so the
-    per-field subsets are aligned by construction). Its ``searcher`` is
-    the (field, IndexSearcher, boost) list search_multi_match takes."""
 
-    def __init__(self, field_dirs: list[tuple[str, str, float]], shards: list[int]):
-        self.searcher = [
-            (f, IndexSearcher(d, shards=shards), b) for f, d, b in field_dirs
-        ]
+# Live shard hosts of the current Ray session → how many pools borrow
+# each, in spawn order. Keyed by session, so a handle from an earlier
+# ``ray.init`` is never reused.
+_HOSTS: dict[tuple[str, str], dict] = {}
+
+
+def _session() -> tuple[str, str]:
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
+def _borrow(n: int) -> list:
+    """Lend the first ``n`` live hosts, spawning only the missing ones.
+    Every pool takes a prefix of the spawn order, so the live host
+    count never exceeds the largest pool open."""
+    if not ray.is_initialized():
+        ray.init()
+    session = _session()
+    if session not in _HOSTS:
+        _HOSTS.clear()
+    hosts = _HOSTS.setdefault(session, {})
+    # Fault tolerance (SURVEY §4 "fail the partition and retry", serving
+    # side): a view is rebuilt entirely from its key and the immutable
+    # on-disk index, so a crashed host restarts (max_restarts) and the
+    # in-flight query task retries (max_task_retries) with bit-identical
+    # results — every shard op is a pure read. Proven by the
+    # kill-mid-batch rank-identity tests in tests/test_engine_advanced.py
+    # and test_multifield.py.
+    while len(hosts) < n:
+        hosts[ShardHost.options(max_restarts=2, max_task_retries=2).remote()] = 0
+    lent = list(hosts)[:n]
+    for h in lent:
+        hosts[h] += 1
+    return lent
+
+
+def _release(session: tuple[str, str], views: list) -> None:
+    """Give a pool's hosts back: close its views, and kill every host no
+    pool borrows any more (idle processes are never parked)."""
+    if not ray.is_initialized() or _session() != session:
+        return  # the session ended, and its hosts with it
+    hosts = _HOSTS.get(session, {})
+    for v in views:
+        if v.host not in hosts:  # dropped as dead
+            continue
+        hosts[v.host] -= 1
+        if hosts[v.host]:
+            v.host.close.remote(v.key)
+        else:
+            del hosts[v.host]
+            ray.kill(v.host)
+
+
+def _drop_dead(actor_id: str | None) -> None:
+    """Forget a host that died for good, so no pool borrows it again."""
+    for hosts in _HOSTS.values():
+        for h in [h for h in hosts if h._actor_id.hex() == actor_id]:
+            del hosts[h]
+
+
+class _HostView:
+    """One searcher's handle on a shared host: ``.search.remote(...)``
+    is ``host.search.remote(key, ...)`` for this searcher's view;
+    ``.host`` is the raw ``ActorHandle``."""
+
+    def __init__(self, host, key: list):
+        self.host = host
+        self.key = key
+
+    def __getattr__(self, method: str):
+        return types.SimpleNamespace(
+            remote=functools.partial(getattr(self.host, method).remote, self.key)
+        )
 
 
 # -- shard ops with shard-side logic (run on an actor via ``run``) --------
@@ -235,34 +387,41 @@ def _key_sum(partials, acc: dict | None = None) -> dict:
 
 
 class _ShardPool:
-    """Driver-side actor pool over disjoint doc-shard subsets, plus the
-    generic fan-out helpers every coordinator op is written in."""
+    """Driver-side pool: one view per borrowed host over disjoint
+    doc-shard subsets, plus the generic fan-out helpers every
+    coordinator op is written in."""
 
-    def __init__(self, actor_cls, source, num_doc_shards: int, num_actors: int):
+    def __init__(
+        self, factory, source, digest: str, num_doc_shards: int, num_actors: int
+    ):
         if num_actors < 1:
             raise ValueError(f"num_actors must be >= 1, got {num_actors}")
         shards = list(range(num_doc_shards))
         chunks = [shards[i::num_actors] for i in range(num_actors)]
-        # Fault tolerance (SURVEY §4 "fail the partition and retry",
-        # serving side): actor state is rebuilt entirely from the
-        # immutable on-disk index in __init__, so a crashed shard actor
-        # restarts (max_restarts) and the in-flight query task retries
-        # (max_task_retries) with bit-identical results — every shard op
-        # is a pure read. Proven by the kill-mid-batch rank-identity
-        # tests in tests/test_engine_advanced.py and test_multifield.py.
+        chunks = [c for c in chunks if c]
+        view = uuid.uuid4().hex
         self.actors = [
-            actor_cls.options(max_restarts=2, max_task_retries=2).remote(
-                source, c
-            )
-            for c in chunks
-            if c
+            _HostView(h, [view, factory, source, c, digest])
+            for h, c in zip(_borrow(len(chunks)), chunks)
         ]
+        for a in self.actors:
+            a.open.remote()
+        # released by shutdown(), or when the pool is garbage-collected
+        self._finalize = weakref.finalize(self, _release, _session(), self.actors)
+        self._finalize.atexit = False
 
     def _call(self, method: str, /, *args, **kwargs) -> list:
-        """Invoke one actor method on every actor; per-actor results."""
-        return ray.get(
-            [getattr(a, method).remote(*args, **kwargs) for a in self.actors]
-        )
+        """Invoke one host method on this pool's view on every host;
+        per-actor results."""
+        refs = [
+            getattr(a.host, method).remote(a.key, *args, **kwargs)
+            for a in self.actors
+        ]
+        try:
+            return ray.get(refs)
+        except ray.exceptions.ActorDiedError as e:
+            _drop_dead(e.actor_id)
+            raise
 
     def _all(self, fn, /, *args, **kwargs) -> list:
         """Run the shard op ``fn`` on every actor; per-actor results."""
@@ -276,8 +435,9 @@ class _ShardPool:
     def _resolve(cache: dict, fetch, keys: list) -> np.ndarray:
         """Global stats aligned to ``keys``: keys missing from ``cache``
         are summed over the per-actor partials ``fetch(missing)`` returns
-        (ONE fan-out round) and cached — the stats are immutable for a
-        built index."""
+        (ONE fan-out round) and cached — the stats are immutable per
+        searcher generation (every view is pinned to the index digest the
+        coordinator read)."""
         missing = sorted({t for t in keys if t not in cache})
         if missing:
             sums = np.asarray(fetch(missing), dtype=np.float64).sum(axis=0)
@@ -285,8 +445,9 @@ class _ShardPool:
         return np.asarray([cache[t] for t in keys], dtype=np.float64)
 
     def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
+        """Close this searcher's views and release its hosts; a host no
+        other searcher borrows is killed here."""
+        self._finalize()
         self.actors = []
 
 
@@ -295,18 +456,25 @@ class DistributedSearcher(_ShardPool):
     subsets and runs coordinator-reduce queries."""
 
     def __init__(self, index_dir: str, num_actors: int = 2):
+        # digest BEFORE the manifest read: a commit landing in between
+        # then fails the hosts' digest check instead of pairing these
+        # stats with a newer index
+        digest = _index_digest([index_dir])
         manifest = IndexManifest.load(index_dir)
         if manifest is None:
             raise FileNotFoundError(index_dir)
         super().__init__(
-            ShardSearchActor, index_dir, manifest.num_doc_shards, num_actors
+            "index", index_dir, digest, manifest.num_doc_shards, num_actors
         )
         self.n_docs = manifest.n_docs
         self._total_tokens = float(manifest.total_tokens)
-        # coordinator-side global-df cache: dfs are immutable for a built
-        # index, so each term pays the phase-1 fan-out ONCE — warm
-        # queries are a single RPC round (halves steady-state latency);
-        # _gcf is the same cache for the LM collection frequencies
+        # coordinator-side global-df cache: dfs are immutable per
+        # searcher generation (the hosts' views are pinned to the index
+        # generation this constructor read; a reopen is a new searcher
+        # with empty caches), so each term pays the phase-1 fan-out ONCE
+        # — warm queries are a single RPC round (halves steady-state
+        # latency); _gcf is the same cache for the LM collection
+        # frequencies
         self._gdf: dict[str, float] = {}
         self._gcf: dict[str, float] = {}
 
@@ -1213,6 +1381,7 @@ class MultiFieldDistributedSearcher(_ShardPool):
     def __init__(
         self, field_dirs: list[tuple[str, str, float]], num_actors: int = 2
     ):
+        digest = _index_digest([d for _, d, _ in field_dirs])
         manifests = [IndexManifest.load(d) for _, d, _ in field_dirs]
         if any(m is None for m in manifests):
             raise FileNotFoundError("missing field index manifest")
@@ -1223,7 +1392,8 @@ class MultiFieldDistributedSearcher(_ShardPool):
                 f"(got {sorted(shards_n)}) so doc shards stay aligned"
             )
         super().__init__(
-            MultiFieldShardActor, field_dirs, shards_n.pop(), num_actors
+            "fields", [list(t) for t in field_dirs], digest, shards_n.pop(),
+            num_actors,
         )
         # per-(field, term) df cache, same immutability argument as
         # DistributedSearcher._gdf

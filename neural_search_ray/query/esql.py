@@ -831,20 +831,37 @@ def _grok_regex(pattern: str) -> tuple[str, list[tuple[str, object]]]:
         raise EsqlError(f"GROK pattern {pattern!r} captures no fields")
     rx = "".join(out)
     # eager validation so a bad pattern is a parse-time EsqlError, not
-    # an ArrowInvalid deep inside a Ray map_batches task: the regex
-    # must compile, and every capture group must be one of our named
-    # keys (pc.extract_regex rejects unnamed '(...)' groups at runtime)
+    # an ArrowInvalid deep inside a Ray map_batches task. It runs the
+    # engine that executes the pattern (Arrow's RE2, which e.g. has no
+    # lookbehind), not Python ``re``: the regex must compile, and every
+    # capture group must be one of our named keys
     try:
-        compiled = re.compile(rx)
-    except re.error as ex:
+        pc.extract_regex(pa.array([], pa.string()), rx)
+    except pa.ArrowInvalid as ex:
+        if "unnamed groups" in str(ex):
+            raise EsqlError(
+                f"GROK pattern {pattern!r} contains unnamed capture groups; "
+                f"use non-capturing (?:...) for plain grouping"
+            ) from None
         raise EsqlError(f"GROK pattern {pattern!r} compiles to an "
                         f"invalid regex: {ex}") from None
-    if compiled.groups != len(names):
-        raise EsqlError(
-            f"GROK pattern {pattern!r} contains unnamed capture groups; "
-            f"use non-capturing (?:...) for plain grouping"
-        )
     return rx, names
+
+
+def _cast_or_null(vals: pa.Array, typ: pa.DataType) -> pa.Array:
+    """A typed GROK capture: Arrow's cast parses the captured text, and
+    a value it cannot parse (int64 overflow, non-numeric text) becomes
+    null, as in ES, instead of failing the whole batch."""
+    try:
+        return pc.cast(vals, typ)
+    except pa.ArrowInvalid:
+        out = []
+        for v in vals:
+            try:
+                out.append(v.cast(typ))
+            except pa.ArrowInvalid:
+                out.append(None)
+        return pa.array(out, typ)
 
 
 def _put_column(batch: pa.Table, name: str, vals) -> pa.Table:
@@ -884,9 +901,8 @@ def _make_rowlocal_fn(block: list[Stage]):
                     vals = pc.struct_field(groups, name)
                     if typ is not None:
                         # typed conversion (:int/:float/:boolean);
-                        # Arrow cast parses the captured text, nulls
-                        # (no match) stay null
-                        vals = pc.cast(vals, typ)
+                        # nulls (no match) stay null
+                        vals = _cast_or_null(vals, typ)
                     batch = _put_column(batch, name, vals)
             elif st.kind == "where":
                 mask = _eval_expr(st.payload, batch)

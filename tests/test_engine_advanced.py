@@ -244,18 +244,20 @@ def test_serving_actor_crash_recovery(skewed_index, ray_session):
     try:
         expected = [ds.search_bm25(q.split(), k=10) for q in queries]
 
-        # in-flight kill: submit a batched msearch directly to actor 0,
-        # kill it before collecting — the retry must still answer
+        # in-flight kill: submit a batched msearch directly to host 0
+        # (through this searcher's view), kill the host before
+        # collecting — the restarted host reopens the view from its
+        # spec and the retry must still answer
         norm = [sorted(set(q.split())) for q in queries]
         gdfs = [[ds._gdf[t] for t in ts] for ts in norm]
         ref = ds.actors[0].msearch.remote(norm, 10, gdfs)
-        _ray.kill(ds.actors[0], no_restart=False)
+        _ray.kill(ds.actors[0].host, no_restart=False)
         parts = _ray.get(ref)  # survives via restart + task retry
         assert len(parts) == len(queries)
 
         # between-batches kill of the other actor, then a full
         # coordinator-path batch: rank identity must hold exactly
-        _ray.kill(ds.actors[1], no_restart=False)
+        _ray.kill(ds.actors[1].host, no_restart=False)
         got = ds.msearch_bm25([q.split() for q in queries], k=10)
         for (gd, gs), (ed, es), q in zip(got, expected, queries):
             assert gd.tolist() == ed.tolist(), q

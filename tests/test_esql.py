@@ -428,6 +428,27 @@ class TestGrok:
         with pytest.raises(EsqlError, match="unnamed capture"):
             parse_esql('FROM events | GROK line "(a|b)%{INT:kv}"')
 
+    def test_grok_re2_only_syntax_fails_at_parse(self):
+        """Validation runs RE2 (the engine that executes the pattern):
+        a lookbehind Python ``re`` accepts is a parse-time EsqlError."""
+        with pytest.raises(EsqlError, match="invalid regex"):
+            parse_esql('FROM logs | GROK line "(?<=v=)%{INT:v:int}"')
+
+    def test_grok_typed_capture_overflow_is_null(self, ray_session, tmp_path):
+        """An %{INT:x:int} capture past int64 yields null, not an
+        ArrowInvalid inside the Ray task; the other rows still parse."""
+        import pyarrow.parquet as pq
+
+        t = pa.table({"line": pa.array(
+            ["x=5", "x=99999999999999999999", "x=-7", "no number"])})
+        pq.write_table(t, str(tmp_path / "logs.parquet"))
+        out = _rows(run_esql(str(tmp_path), 'FROM logs | GROK line "x=%{INT:x:int}"'
+                             ' | KEEP line, x'))
+        got = dict(zip(out["line"].to_pylist(), out["x"].to_pylist()))
+        assert got == {"x=5": 5, "x=99999999999999999999": None, "x=-7": -7,
+                       "no number": None}
+        assert out.schema.field("x").type == pa.int64()
+
     def test_grok_overwrites_existing_column(self, ray_session, tmp_path):
         """A capture named like an existing column (even the source)
         OVERWRITES it, ES-style — append would create a duplicate field

@@ -200,7 +200,7 @@ def test_distributed_multi_match_actor_crash_recovery(mf, ray_session):
     d = MultiFieldDistributedSearcher(field_dirs, num_actors=2)
     try:
         expected = [d.search_multi_match(q.split(), k=10) for q in QUERIES]
-        ray.kill(d.actors[0], no_restart=False)
+        ray.kill(d.actors[0].host, no_restart=False)
         for q, (ed, es) in zip(QUERIES, expected):
             gd, gs = d.search_multi_match(q.split(), k=10)
             assert gd.tolist() == ed.tolist(), q
