@@ -11,10 +11,11 @@ index (tokenize → partial postings → grouped shuffle → compressed
 posting shards), then batch-evaluate the BM25 query set and measure
 per-query latency. Also times a sample of the operator suite.
 
---scaling: run the SAME build job in fresh processes at num_cpus=8 and
-num_cpus=32 (the sandbox evidence for the N→4N two-cluster-size rule)
-and report both throughputs + scaling efficiency; results are appended
-to BASELINE.md by the caller (see tools/update_baseline.py).
+--scaling-paired: run the SAME build job in fresh processes, alternating
+num_cpus=32 and num_cpus=8 legs in load-checked pairs (single-node
+evidence for the N→4N two-cluster-size rule), and report every pair's
+scaling efficiency with the median over clean pairs as the headline;
+tools/update_baseline.py renders that JSON into BASELINE.md.
 """
 
 from __future__ import annotations
@@ -275,70 +276,6 @@ def run_bench(num_cpus: int, sf_dir: str, n_pages_override: int | None = None) -
     }
 
 
-def run_scaling(sf_dir: str, cpus_low: int = 8, cpus_high: int = 32,
-                n_pages: int = 8_000_000) -> dict:
-    """Fresh-process runs at two parallelism levels (same input).
-
-    Uses a 4M-page corpus by default so the job is long enough to be
-    CPU-bound at the high parallelism (a 100k-doc job finishes in ~2s of
-    real work at 32 cpus — any fixed executor cost would swamp the
-    measurement, which says nothing about cluster-size scaling)."""
-    results: dict[int, dict | None] = {cpus_low: None, cpus_high: None}
-    legs: list[dict] = []
-    repeats = int(os.environ.get("GRAFT_SCALING_REPEATS", "2"))
-    # INTERLEAVE the two levels per repeat round (low, high, low, high...)
-    # rather than all-low-then-all-high: the sandbox box has noisy
-    # co-tenants whose load drifts over minutes, and a slow window that
-    # hits only one level fabricates a scaling artifact. Best-of-N per
-    # level on top.
-    for rep in range(repeats):
-        for cpus in (cpus_low, cpus_high):
-            env = dict(os.environ)
-            env["PYTHONPATH"] = REPO
-            env["GRAFT_SF_DIR"] = sf_dir
-            out = subprocess.run(
-                [sys.executable, os.path.join(REPO, "bench.py"), "--cpus", str(cpus),
-                 "--pages", str(n_pages)],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            line = [l for l in out.stdout.strip().splitlines() if l.startswith("{")][-1]
-            r = json.loads(line)
-            legs.append({
-                "rep": rep,
-                "cpus": cpus,
-                "build_docs_per_sec": r["build_docs_per_sec"],
-                "load_start": r.get("load_start"),
-                "load_end": r.get("load_end"),
-            })
-            best = results[cpus]
-            if best is None or r["build_docs_per_sec"] > best["build_docs_per_sec"]:
-                results[cpus] = r
-    t_low = results[cpus_low]["build_docs_per_sec"]
-    t_high = results[cpus_high]["build_docs_per_sec"]
-    ratio = cpus_high / cpus_low
-    eff = (t_high / t_low) / ratio
-    return {
-        "metric": "nsr_scaling",
-        "value": round(eff, 3),
-        "unit": "efficiency",
-        "sf": sf_dir,
-        "n_pages": n_pages,
-        "cpus_low": cpus_low,
-        "cpus_high": cpus_high,
-        "build_docs_per_sec_low": t_low,
-        "build_docs_per_sec_high": t_high,
-        "query_p50_ms_low": results[cpus_low]["query_p50_ms"],
-        "query_p50_ms_high": results[cpus_high]["query_p50_ms"],
-        "query_p99_ms_low": results[cpus_low]["query_p99_ms"],
-        "query_p99_ms_high": results[cpus_high]["query_p99_ms"],
-        "scaling_efficiency": round(eff, 3),
-        "target": 0.8,
-        # every leg with its 1-min loadavg at start/end: contention
-        # attribution for sub-target sessions is data, not inference
-        "legs": legs,
-    }
-
-
 def _bench_leg(sf_dir: str, cpus: int, n_pages: int) -> dict:
     """One fresh-process bench run; returns the parsed JSON line."""
     env = dict(os.environ)
@@ -364,8 +301,7 @@ def run_scaling_paired(sf_dir: str, cpus_low: int = 8, cpus_high: int = 32,
     """Paired-leg scaling protocol (r4 verdict #7): alternate low/high
     legs at ~minute granularity inside ONE session and compute a
     per-pair efficiency, so a co-tenant wave shows up in that pair's
-    loadavg and the LOAD-MATCHED pairs still yield a clean ratio — the
-    contention-robust complement to run_scaling's best-of-N sessions.
+    loadavg and the LOAD-MATCHED pairs still yield a clean ratio.
 
     Leg order is HIGH first: the 32-cpu leg is the contention-sensitive
     one (an external co-tenant fits beside an 8-cpu leg on a 32-way box
@@ -431,7 +367,6 @@ def run_scaling_paired(sf_dir: str, cpus_low: int = 8, cpus_high: int = 32,
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--cpus", type=int, default=DEFAULT_CPUS)
-    ap.add_argument("--scaling", action="store_true")
     ap.add_argument("--scaling-paired", action="store_true")
     ap.add_argument("--pairs", type=int, default=4)
     ap.add_argument("--cpus-low", type=int, default=8)
@@ -445,9 +380,6 @@ def main() -> None:
             args.sf_dir, cpus_low=args.cpus_low, cpus_high=args.cpus_high,
             n_pages=args.pages or 2_000_000, pairs=args.pairs
         )))
-        return
-    if args.scaling:
-        print(json.dumps(run_scaling(args.sf_dir)))
         return
 
     import ray

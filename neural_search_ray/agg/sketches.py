@@ -201,6 +201,16 @@ class TDigest:
     def count(self) -> float:
         return float(self.weights.sum())
 
+    @property
+    def min(self) -> float:
+        """Exact smallest value added (inf while empty)."""
+        return self._min
+
+    @property
+    def max(self) -> float:
+        """Exact largest value added (-inf while empty)."""
+        return self._max
+
     def add(self, values, weights=None) -> "TDigest":
         v = np.asarray(values, dtype=np.float64).ravel()
         if v.size == 0:

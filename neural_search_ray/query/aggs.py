@@ -1,0 +1,739 @@
+"""Aggregation ops, each defined once for local and distributed execution.
+
+Reference shape (SURVEY.md §3, "coordinator reduce"): an aggregation is
+a shard-level partial plus one coordinator reduce, and a single shard is
+just a reduce over one partial. Every op here is module-level shard
+partial(s) plus one op function over a searcher *context* ``s`` that
+
+- fans the partial out with ``s._all(partial, ...)`` (one result per
+  shard host);
+- resolves global dfs, where the op needs them, with ``s._gdfs(terms)``;
+- merges the partials.
+
+``IndexSearcher`` (``_all`` = its own one partial, ``_gdfs`` = its term
+dictionary) and ``DistributedSearcher`` (``_all`` = one ``run`` per
+shard host, ``_gdfs`` = the cached global-df fan-out) bind the same
+function objects as methods, so the local and the distributed result
+come from the same code. Partials are module-level, so they pickle by
+reference to the hosts. Merges stay vectorized, and where a lone
+partial already is the answer (key-summed maps, one exact value set)
+it passes through untouched, so a single searcher keeps its speed. The
+dictionary-walking ops (terms_enum, rare_terms and the suggesters) live
+in query/suggest.py.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..agg.sketches import HyperLogLog, TDigest, hash64
+
+# -- shared partial and merge helpers ---------------------------------------
+
+
+def _key_sum(partials, acc: dict | None = None) -> dict:
+    """Sum per-shard (key, count) iterables by key — exact for every
+    distributive count (each doc lives on exactly one shard)."""
+    acc = {} if acc is None else acc
+    for pairs in partials:
+        for key, c in pairs:
+            acc[key] = acc.get(key, 0) + c
+    return acc
+
+
+def _sum_by_key(parts: list) -> tuple:
+    """Merge per-shard ``(keys, counts)`` partials (distinct keys within
+    each) into ``(keys, int64 counts)``: a lone partial passes through in
+    its own key order; several are summed by key, keys sorted."""
+    parts = [p for p in parts if len(p[0])]
+    if not parts:
+        return [], np.empty(0, np.int64)
+    if len(parts) == 1:
+        return parts[0]
+    acc = _key_sum(zip(keys, c.tolist()) for keys, c in parts)
+    keys = sorted(acc)
+    return keys, np.asarray([acc[k] for k in keys], dtype=np.int64)
+
+
+# -- terms buckets -----------------------------------------------------------
+
+
+def _value_counts(s, docs: np.ndarray, field: str) -> tuple[list, np.ndarray]:
+    """(values, doc counts) of ``field`` over ``docs`` (non-empty)."""
+    vc = pc.value_counts(s.field_values(docs, field))
+    return (
+        vc.field("values").to_pylist(),
+        vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64),
+    )
+
+
+def _facet_partial(s, terms: list[str], field: str) -> tuple:
+    """Doc count per ``field`` value over this shard's match set."""
+    docs = s._match_union(terms)
+    if docs.size == 0:
+        return [], np.empty(0, np.int64)
+    return _value_counts(s, docs, field)
+
+
+def _top_buckets(values: list, counts: np.ndarray, size: int | None = None):
+    """The terms-agg cut: buckets by (count desc, value asc), first
+    ``size`` (None: all)."""
+    order = np.lexsort((np.asarray(values, dtype=object), -counts))[:size]
+    return [values[i] for i in order], counts[order]
+
+
+def facet_terms(
+    s, terms: list[str], field: str, size: int | None = 10
+) -> tuple[list, np.ndarray]:
+    """Terms aggregation over the match set of a boolean-OR term query
+    (the OpenSearch terms agg / Lucene facet counting the reference
+    inherits for its hybrid result pages): doc count per ``field``
+    value, top ``size`` buckets by (count desc, value asc); ``size=None``
+    keeps every bucket. Shard partials are full per-value maps (bounded
+    by field cardinality, not doc count) summed by value, so the
+    distributed counts are exact — no shard_size approximation."""
+    return _top_buckets(
+        *_sum_by_key(s._all(_facet_partial, terms, field)), size
+    )
+
+
+def _top_per_bucket(vals, docs: np.ndarray, scores: np.ndarray, k: int) -> tuple:
+    """Per bucket value (ascending, null last), the top ``k`` rows by
+    (score desc, doc_id asc): (bucket per row, 1-based rank, docs,
+    scores). ``vals`` is an Arrow array, ranked through its dictionary
+    encoding — no per-row Python work."""
+    enc = pc.dictionary_encode(vals, null_encoding="encode")
+    inv = np.argsort(pc.sort_indices(enc.dictionary).to_numpy())[
+        enc.indices.to_numpy(zero_copy_only=False)
+    ]
+    order = np.lexsort((docs, -scores, inv))
+    g = inv[order]
+    rank = np.arange(g.size) - np.searchsorted(g, g)
+    keep = rank < k
+    sel = order[keep]
+    return vals.take(sel), rank[keep] + 1, docs[sel], scores[sel]
+
+
+def _top_hits_partial(
+    s, terms: list[str], field: str, k_per_bucket: int, global_dfs
+) -> tuple:
+    """This shard's per-bucket top hits (bucket, docs, rounded scores)."""
+    cand, scores = s._bm25_union_scores(terms, global_dfs)
+    scores = np.floor(scores * 1e6 + 0.5) / 1e6  # scores are >= 0
+    b, _, d, sc = _top_per_bucket(
+        s.field_values(cand, field), cand, scores, k_per_bucket
+    )
+    return b, d, sc
+
+
+def facet_top_hits(
+    s,
+    terms: list[str],
+    field: str,
+    k_per_bucket: int = 3,
+    global_dfs: np.ndarray | None = None,
+):
+    """top_hits sub-aggregation under a terms bucket (the OpenSearch
+    terms agg + top_hits pattern): per doc-values bucket, the top
+    ``k_per_bucket`` match-set docs by (rounded BM25 desc, doc_id asc).
+    Scores are rounded half-up to 6 BEFORE ranking (cross-engine tie
+    discipline). ``global_dfs`` aligns with the sorted distinct terms
+    (default: ``s._gdfs``). Returns (bucket values, ranks, docs, scores)
+    flat aligned arrays, buckets in ascending value order (docs without
+    a value last, as the null bucket); shard
+    partials are per-bucket top-k lists, re-cut bucket-wise — exact,
+    because each shard's partial is complete for its docs."""
+    sterms = sorted(set(terms))
+    if global_dfs is None:
+        global_dfs = s._gdfs(sterms)
+    parts = s._all(_top_hits_partial, sterms, field, k_per_bucket, global_dfs)
+    b, r, d, sc = _top_per_bucket(
+        pa.concat_arrays([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+        np.concatenate([p[2] for p in parts]),
+        k_per_bucket,
+    )
+    return b.to_pylist(), r, d, sc
+
+
+def _composite_partial(s, terms: list[str], sources: list[tuple]) -> tuple:
+    """This shard's full composite bucket map: (key tuples, counts)."""
+    docs = s._match_union(terms)
+    if docs.size == 0:
+        return [], np.empty(0, np.int64)
+    cols = {}
+    for i, src in enumerate(sources):
+        kind, field = src[0], src[1]
+        vals = s.field_values(docs, field)
+        if kind == "terms":
+            cols[f"k{i}"] = vals
+        elif kind == "histogram":
+            interval = int(src[2])
+            if interval <= 0:
+                raise ValueError("interval must be positive")
+            v = vals.to_numpy(zero_copy_only=False).astype(np.int64)
+            cols[f"k{i}"] = pa.array((v // interval) * interval)
+        else:
+            raise ValueError(f"unknown composite source: {kind}")
+    g = (
+        pa.table(cols)
+        .group_by(list(cols))
+        .aggregate([([], "count_all")])
+    )
+    keys = list(zip(*(g[c].to_pylist() for c in cols)))
+    counts = g["count_all"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return keys, counts
+
+
+def agg_composite(
+    s,
+    terms: list[str],
+    sources: list[tuple],
+    size: int | None = 10,
+    after: tuple | None = None,
+):
+    """Composite aggregation (OpenSearch composite agg — the scalable
+    bucket-export agg): doc-count buckets over a tuple of doc-values
+    sources, KEY-ORDERED ascending and paged with a strict ``after``-key
+    — so a coordinator can stream the full bucket space page by page
+    without holding it.
+
+    ``sources``: list of ("terms", field) or ("histogram", field,
+    interval). Returns (list of key tuples, counts int64); ``size=None``
+    returns every bucket past ``after``. Bucket state is bounded by
+    bucket cardinality, and per-shard partial maps merge by key — the
+    facet_terms distributive shape."""
+    keys, counts = _sum_by_key(s._all(_composite_partial, terms, sources))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if after is not None:
+        order = [i for i in order if keys[i] > tuple(after)]
+    order = order[:size]
+    return [keys[i] for i in order], counts[order]
+
+
+# -- numeric metric aggs -----------------------------------------------------
+
+
+def _moments(s, docs: np.ndarray, field: str) -> tuple | None:
+    """(n, min, max, Σv, Σv²) exact int64 moments of ``field`` over
+    ``docs`` — the associative shard partial behind stats,
+    extended_stats, sampler and t_test (None: no docs)."""
+    if docs.size == 0:
+        return None
+    v = s.field_array(docs, field)
+    return (int(v.size), int(v.min()), int(v.max()), int(v.sum()),
+            int(v @ v))
+
+
+def _stats_partial(s, terms: list[str], field: str) -> tuple | None:
+    return _moments(s, s._match_union(terms), field)
+
+
+def _moment_sums(parts: list) -> tuple[int, int, int]:
+    """(n, Σv, Σv²) summed over the non-empty moment partials."""
+    cols = list(zip(*[p for p in parts if p is not None])) or [()] * 5
+    return sum(cols[0]), sum(cols[3]), sum(cols[4])
+
+
+def _finish_stats(parts: list) -> dict:
+    """extended_stats over moment partials: exact int count/min/max/sum/
+    sum_of_squares, then avg and OpenSearch's population variance
+    ``sum_sq/n − avg²`` divided once each (the same floats however the
+    docs were sharded)."""
+    parts = [p for p in parts if p is not None]
+    if not parts:
+        return {
+            "count": 0, "min": None, "max": None, "sum": 0, "avg": None,
+            "sum_of_squares": 0, "variance": None, "std_deviation": None,
+        }
+    n, lo, hi, total, sum_sq = zip(*parts)
+    n, total, sum_sq = sum(n), sum(total), sum(sum_sq)
+    avg = total / n
+    var = sum_sq / n - avg * avg
+    return {
+        "count": n,
+        "min": min(lo),
+        "max": max(hi),
+        "sum": total,
+        "avg": avg,
+        "sum_of_squares": sum_sq,
+        "variance": var,
+        "std_deviation": float(np.sqrt(var)),
+    }
+
+
+def _stats(extended: dict) -> dict:
+    """The stats-agg subset (count, min, max, sum, avg) of extended_stats."""
+    return {k: extended[k] for k in ("count", "min", "max", "sum", "avg")}
+
+
+def agg_extended_stats(s, terms: list[str], field: str) -> dict:
+    """extended_stats aggregation (OpenSearch extended_stats agg):
+    count / min / max / sum / avg plus sum_of_squares / variance /
+    std_deviation, with OpenSearch's population-variance formula
+    ``var = sum_sq/n − avg²`` (ExtendedStatsAggregator.java's textbook
+    shortcut, NOT Welford) so the SQL oracle reproduces it term for
+    term. Shard partials (count, min, max, sum, sum_sq) merge
+    associatively."""
+    return _finish_stats(s._all(_stats_partial, terms, field))
+
+
+def agg_stats(s, terms: list[str], field: str) -> dict:
+    """Stats aggregation (OpenSearch stats agg) over the boolean-OR match
+    set: count / min / max / sum / avg of a numeric doc-values field.
+    Sum and extrema are exact int64; avg is the exact-int sum divided
+    once (so a SQL oracle computing sum/count matches bitwise)."""
+    return _stats(agg_extended_stats(s, terms, field))
+
+
+def agg_sampler(
+    s, terms: list[str], field: str, shard_size: int = 100
+) -> dict:
+    """sampler aggregation (OpenSearch SamplerAggregator): run the
+    sub-metrics over only the top-``shard_size`` best-scoring match
+    docs (this searcher = one shard, so the sample is the global score
+    top-N). Sub-agg here is the stats shape over a numeric doc-values
+    field — exact int64, avg divided once."""
+    docs, _ = s.search_bm25(terms, k=shard_size)
+    return _stats(_finish_stats([_moments(s, docs, field)]))
+
+
+def agg_t_test(
+    s,
+    terms_a: list[str],
+    terms_b: list[str],
+    field: str,
+    mode: str = "heteroscedastic",
+) -> dict:
+    """t_test aggregation (OpenSearch TTestAggregator) comparing a
+    numeric field between two unpaired match populations.
+    ``heteroscedastic`` (the reference default) is Welch's t:
+    t = (m1 − m2) / sqrt(v1/n1 + v2/n2); ``homoscedastic`` pools the
+    sample variances. Populations are exact int64 moment partials
+    (n, Σv, Σv²) per side — the associative shard merge — and every
+    float op happens once at the end in a pinned order
+    (v = (Σv² − Σv·(Σv/n)) / (n−1)) so a SQL oracle replaying the same
+    expression matches to round6."""
+    (n1, s1, ss1), (n2, s2, ss2) = (
+        _moment_sums(s._all(_stats_partial, t, field))
+        for t in (terms_a, terms_b)
+    )
+    if n1 < 2 or n2 < 2:
+        return {"n1": n1, "n2": n2, "t": None}
+    m1, m2 = s1 / n1, s2 / n2
+    v1 = (ss1 - s1 * (s1 / n1)) / (n1 - 1)
+    v2 = (ss2 - s2 * (s2 / n2)) / (n2 - 1)
+    if mode == "heteroscedastic":
+        denom = np.sqrt(v1 / n1 + v2 / n2)
+    elif mode == "homoscedastic":
+        sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
+        denom = np.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
+    else:
+        raise ValueError(f"unknown t_test mode: {mode}")
+    t = (m1 - m2) / denom if denom > 0 else None
+    return {"n1": n1, "n2": n2, "t": None if t is None else float(t)}
+
+
+def _matrix_partial(
+    s, terms: list[str], field_x: str, field_y: str, keep_x: bool
+) -> tuple:
+    """The six exact integer sums (n, Σx, Σx², Σy, Σy², Σxy) over this
+    shard's match set, plus the x values themselves when ``keep_x``."""
+    docs = s._match_union(terms)
+    if docs.size == 0:
+        return (0, 0, 0, 0, 0, 0), None
+    x = s.field_array(docs, field_x)
+    y = s.field_array(docs, field_y)
+    sums = (int(docs.size), int(x.sum()), int((x * x).sum()), int(y.sum()),
+            int((y * y).sum()), int((x * y).sum()))
+    return sums, (x if keep_x else None)
+
+
+def agg_matrix_stats(
+    s, terms: list[str], field_x: str, field_y: str = "_dl"
+) -> dict:
+    """matrix_stats aggregation (OpenSearch matrix_stats agg —
+    RunningStats/MatrixStatsResults) between two numeric per-doc series
+    over the boolean-OR match set: count, means, population variances,
+    population covariance and Pearson correlation, all derived from
+    EXACT integer power/cross sums (n, Σx, Σx², Σy, Σy², Σxy) — the
+    mergeable shard-partial form (associative integer adds, so
+    re-executed tasks are safe). Derived doubles divide the exact sums
+    once each, so they are bit-identical however the docs are sharded,
+    and a SQL oracle computing the same expressions matches to <1 ulp.
+    A searcher holding every value in-process (``s._co_located``) also
+    returns skewness/kurtosis (population m3/m2^1.5, m4/m2²) —
+    float-central-moment quantities, pytest-pinned, not oracled, and
+    not shipped by the distributed protocol. ``field_y`` "_dl" pairs
+    against the BM25 doc length."""
+    parts = s._all(_matrix_partial, terms, field_x, field_y, s._co_located)
+    n, sum_x, sum_xx, sum_y, sum_yy, sum_xy = (
+        sum(p[0][i] for p in parts) for i in range(6)
+    )
+    if n == 0:
+        return {"n": 0}
+    mean_x, mean_y = sum_x / n, sum_y / n
+    var_x = sum_xx / n - mean_x * mean_x
+    var_y = sum_yy / n - mean_y * mean_y
+    cov = sum_xy / n - mean_x * mean_y
+    denom = np.sqrt(var_x * var_y)
+    out = {
+        "n": n,
+        "sum_x": sum_x,
+        "sum_y": sum_y,
+        "sum_xy": sum_xy,
+        "mean_x": mean_x,
+        "mean_y": mean_y,
+        "var_x": var_x,
+        "var_y": var_y,
+        "cov": cov,
+        "corr": cov / denom if denom > 0 else 0.0,
+    }
+    if s._co_located:
+        xf = parts[0][1].astype(np.float64) - mean_x
+        m2 = float((xf * xf).mean())
+        m3 = float((xf * xf * xf).mean())
+        m4 = float((xf * xf * xf * xf).mean())
+        out["skew_x"] = m3 / m2**1.5 if m2 > 0 else 0.0
+        out["kurt_x"] = m4 / m2**2 if m2 > 0 else 0.0
+    return out
+
+
+def _range_partial(s, terms: list[str], field: str, ranges: list) -> list:
+    """[count, Σv] per range over this shard's match set."""
+    docs = s._match_union(terms)
+    vals = s.field_array(docs, field) if docs.size else np.empty(0, np.int64)
+    out = []
+    for lo, hi in ranges:
+        m = np.ones(vals.size, dtype=bool)
+        if lo is not None:
+            m &= vals >= lo
+        if hi is not None:
+            m &= vals < hi
+        out.append((int(m.sum()), int(vals[m].sum())))
+    return out
+
+
+def agg_range(
+    s,
+    terms: list[str],
+    field: str,
+    ranges: list[tuple[float | None, float | None]],
+) -> list[dict]:
+    """Range aggregation (OpenSearch range agg — RangeAggregator):
+    per-range doc count + exact int sum of ``field`` over the boolean-OR
+    match set, half-open ES semantics lo <= v < hi with open ends. EVERY
+    requested range is emitted, zero buckets included (the agg's
+    contract). Ranges may overlap — each is counted independently
+    (vectorized comparisons, not digitize). Shard partials (cnt, sum per
+    fixed range list) are tiny and merge by elementwise sum."""
+    parts = s._all(_range_partial, terms, field, ranges)
+    return [
+        {
+            "from": lo,
+            "to": hi,
+            "cnt": sum(p[i][0] for p in parts),
+            "sum_v": sum(p[i][1] for p in parts),
+        }
+        for i, (lo, hi) in enumerate(ranges)
+    ]
+
+
+# -- filter buckets ----------------------------------------------------------
+
+
+def _filters_partial(s, terms: list[str], filters: dict) -> dict:
+    docs = s._match_union(terms)
+    out: dict[str, int] = {}
+    for name, (column, op, value) in filters.items():
+        if docs.size == 0:
+            out[name] = 0
+            continue
+        acc = s.accepted_ids(column, op, value)
+        out[name] = int(np.intersect1d(docs, acc, assume_unique=True).size)
+    return out
+
+
+def agg_filters(s, terms: list[str], filters: dict[str, tuple]) -> dict[str, int]:
+    """filters aggregation (named-bucket counts): for each named
+    (column, op, value) predicate, the number of match-set docs
+    accepted — evaluated against the cached doc-values predicate scans,
+    one sorted intersection per bucket; shard counts sum."""
+    parts = s._all(_filters_partial, terms, filters)
+    return _key_sum((p.items() for p in parts), dict.fromkeys(filters, 0))
+
+
+def _adjacency_partial(s, terms: list[str], filters: dict) -> dict:
+    docs = s._match_union(terms)
+    out: dict[str, int] = {}
+    if docs.size == 0:
+        return out
+    names = sorted(filters)
+    sets = {
+        n: np.intersect1d(
+            docs, s.accepted_ids(*filters[n]), assume_unique=True
+        )
+        for n in names
+    }
+    for i, a in enumerate(names):
+        if sets[a].size:
+            out[a] = int(sets[a].size)
+        for b in names[i + 1 :]:
+            inter = np.intersect1d(
+                sets[a], sets[b], assume_unique=True
+            ).size
+            if inter:
+                out[f"{a}&{b}"] = int(inter)
+    return out
+
+
+def agg_adjacency_matrix(
+    s, terms: list[str], filters: dict[str, tuple]
+) -> dict[str, int]:
+    """adjacency_matrix aggregation: doc counts for every named filter
+    and every pairwise intersection (key "a&b", names in sorted order —
+    OpenSearch's AdjacencyMatrixAggregator keying), empty buckets
+    omitted. Evaluated as sorted-array intersections against cached
+    doc-values scans; every doc lives on exactly one shard, so singles
+    AND pairs are distributive count-sums."""
+    parts = s._all(_adjacency_partial, terms, filters)
+    return _key_sum(p.items() for p in parts)
+
+
+# -- sketch-backed aggs --------------------------------------------------------
+
+
+def _distinct_partial(
+    s, terms: list[str], field: str, precision_threshold: int, p: int
+) -> tuple[str, object]:
+    """The OpenSearch cardinality shard protocol: ship the exact
+    distinct non-null values while they are few, HLL registers above
+    the threshold — either way the payload is bounded."""
+    docs = s._match_union(terms)
+    if docs.size == 0:
+        return "exact", np.empty(0)
+    vals = pc.unique(pc.drop_null(s.field_values(docs, field)))
+    vals = vals.to_numpy(zero_copy_only=False)
+    if vals.size <= precision_threshold:
+        return "exact", vals
+    return "hll", HyperLogLog(p).add_hashed(hash64(vals)).to_bytes()
+
+
+def agg_cardinality(
+    s,
+    terms: list[str],
+    field: str,
+    precision_threshold: int = 3000,
+    p: int = 14,
+) -> dict:
+    """Cardinality aggregation (OpenSearch cardinality agg —
+    CardinalityAggregator / HyperLogLogPlusPlus): distinct count of the
+    non-null values of a doc-values field over the boolean-OR match set.
+    OpenSearch semantics: EXACT while the distinct count stays at or
+    below ``precision_threshold``, HyperLogLog estimate above it. Exact
+    shard value sets merge by union; HLL registers merge by elementwise
+    max (associative + idempotent, so re-executed tasks are safe), and
+    the result is an estimate as soon as any shard upgraded or the union
+    outgrew the threshold. Registers depend only on the value set, so
+    the estimate is the same however the docs are sharded."""
+    parts = s._all(_distinct_partial, terms, field, precision_threshold, p)
+    exact = [v for kind, v in parts if kind == "exact" and v.size]
+    sketches = [v for kind, v in parts if kind == "hll"]
+    vals = np.unique(np.concatenate(exact)) if len(exact) > 1 else (
+        exact[0] if exact else np.empty(0)
+    )
+    if not sketches and vals.size <= precision_threshold:
+        return {"value": int(vals.size), "exact": True}
+    h = HyperLogLog(p)
+    if sketches:
+        h.merge(HyperLogLog.merge_payloads(sketches))
+    if vals.size:
+        h.add_hashed(hash64(vals))
+    return {"value": h.estimate(), "exact": False}
+
+
+def _digest_partial(
+    s, terms: list[str], field: str, delta: float, center: float | None
+) -> bytes:
+    """t-digest centroid partial over this shard's match set (a few KiB
+    regardless of match size — TDigestState's transport form); with a
+    ``center``, the digest of |v − center| (phase 2 of the MAD)."""
+    docs = s._match_union(terms)
+    if docs.size == 0:
+        return b""
+    vals = s.field_array(docs, field, np.float64)
+    if center is not None:
+        vals = np.abs(vals - center)
+    return TDigest(delta).add(vals).to_bytes()
+
+
+def _digest(
+    s, terms: list[str], field: str, delta: float, center: float | None = None
+) -> TDigest | None:
+    """Merged t-digest of the shard partials (None: no matches)."""
+    parts = [b for b in s._all(_digest_partial, terms, field, delta, center) if b]
+    if not parts:
+        return None
+    t = TDigest.from_bytes(parts[0])
+    for b in parts[1:]:
+        t.merge(TDigest.from_bytes(b))
+    return t
+
+
+def tdigest_percentiles(
+    s,
+    terms: list[str],
+    field: str,
+    pcts: tuple[float, ...] = (1, 5, 25, 50, 75, 95, 99),
+    delta: float = 100.0,
+) -> np.ndarray:
+    """Percentiles, t-digest tier (the reference's default TDigestState
+    path): quantiles of the merged digest, NaN with no matches."""
+    t = _digest(s, terms, field, delta)
+    if t is None:
+        return np.full(len(pcts), np.nan)
+    return t.quantiles(np.asarray(pcts, dtype=np.float64) / 100.0)
+
+
+def tdigest_percentile_ranks(
+    s,
+    terms: list[str],
+    field: str,
+    values: tuple[float, ...],
+    delta: float = 100.0,
+) -> np.ndarray:
+    """percentile_ranks, t-digest tier: invert the merged digest's
+    quantile function by bisection over q (exact enough for the sketch
+    tier — the digest itself is the approximation)."""
+    t = _digest(s, terms, field, delta)
+    if t is None:
+        return np.full(len(values), np.nan)
+    out = []
+    for x in values:
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = (lo + hi) / 2.0
+            if t.quantile(mid) <= x:
+                lo = mid
+            else:
+                hi = mid
+        out.append(100.0 * lo)
+    return np.asarray(out)
+
+
+def tdigest_mad(
+    s, terms: list[str], field: str, delta: float = 100.0
+) -> float:
+    """median_absolute_deviation, t-digest tier (two phases, like the
+    reference's MedianAbsoluteDeviationAggregator): merged digest →
+    approximate median, then shard digests of |v − median| → merged →
+    median again. Both phases ship only centroid bytes."""
+    t = _digest(s, terms, field, delta)
+    if t is None:
+        return float("nan")
+    med = t.quantile(0.5)
+    return float(_digest(s, terms, field, delta, med).quantile(0.5))
+
+
+def tdigest_boxplot(
+    s, terms: list[str], field: str, delta: float = 100.0
+) -> dict:
+    """boxplot, t-digest tier: exact min/max (the digest tracks them)
+    and the merged digest's quartiles."""
+    t = _digest(s, terms, field, delta)
+    if t is None:
+        return {"min": None, "q1": None, "q2": None, "q3": None, "max": None}
+    q1, q2, q3 = t.quantiles(np.asarray([0.25, 0.5, 0.75]))
+    return {
+        "min": float(t.min),
+        "q1": float(q1),
+        "q2": float(q2),
+        "q3": float(q3),
+        "max": float(t.max),
+    }
+
+
+# -- string and scripted metrics ------------------------------------------------
+
+
+def _string_stats_partial(s, terms: list[str], field: str) -> tuple | None:
+    """Mergeable string_stats shard partial:
+    (count, min_len, max_len, total_len, codepoints, char_counts)."""
+    docs = s._match_union(terms)
+    if docs.size == 0:
+        return None
+    arr = s.field_array(docs, field, np.str_)
+    width = arr.dtype.itemsize // 4
+    codes = arr.view(np.uint32).reshape(arr.size, width)
+    lens = (codes != 0).sum(axis=1).astype(np.int64)
+    flat = codes.ravel()
+    uniq, cnt = np.unique(flat[flat != 0], return_counts=True)
+    return (
+        int(arr.size),
+        int(lens.min()),
+        int(lens.max()),
+        int(lens.sum()),
+        uniq,
+        cnt.astype(np.int64),
+    )
+
+
+def agg_string_stats(s, terms: list[str], field: str) -> dict:
+    """string_stats aggregation (OpenSearch StringStatsAggregator):
+    count / min_length / max_length / avg_length and Shannon entropy
+    (base 2) of the character distribution across all values of a
+    keyword doc-values field in the match set. Vectorized: one numpy
+    U-dtype (UTF-32) view gives per-row codepoint lengths and the flat
+    codepoint array in O(total chars) with no per-row loop. Partials
+    merge counts/extrema/totals associatively and the per-codepoint
+    histograms by key (sorted codepoint order, so the entropy float-sum
+    order is identical however the corpus was sharded); entropy is
+    −Σ p·log2(p), computed once (sum order differs from SQL's GROUP BY —
+    round6 absorbs, the established float-sum contract)."""
+    parts = [p for p in s._all(_string_stats_partial, terms, field) if p]
+    if not parts:
+        return {"count": 0, "min_length": None, "max_length": None,
+                "avg_length": None, "entropy": 0.0}
+    count = sum(p[0] for p in parts)
+    total = sum(p[3] for p in parts)
+    uniq, inv = np.unique(np.concatenate([p[4] for p in parts]),
+                          return_inverse=True)
+    cnt = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(cnt, inv, np.concatenate([p[5] for p in parts]))
+    p = cnt / total
+    return {
+        "count": count,
+        "min_length": min(q[1] for q in parts),
+        "max_length": max(q[2] for q in parts),
+        "avg_length": total / count,
+        "entropy": float(-(p * np.log2(p)).sum()) if total else 0.0,
+    }
+
+
+def _scripted_partial(s, terms: list[str], script):
+    """This shard's scripted-metric state: the script's map runs
+    vectorized over the match set's doc-values (None: no match, so the
+    merge skips the shard)."""
+    docs = s._match_union(terms)
+    if docs.size == 0:
+        return None
+    return script.map_batch({
+        c: s.field_values(docs, c).to_numpy(zero_copy_only=False)
+        for c in script.columns
+    })
+
+
+def agg_scripted_metric(s, terms: list[str], script) -> dict:
+    """scripted_metric aggregation (OpenSearch ScriptedMetricAggregator:
+    init/map/combine/reduce user scripts over arbitrary opaque state,
+    under the associative-combine contract). The script is a registered
+    `agg.scripted.ScriptedMetric`: every shard runs map over its own
+    match set, the states fold with the script's combine and reduce
+    runs ONCE over all of them."""
+    parts = [p for p in s._all(_scripted_partial, terms, script)
+             if p is not None]
+    if not parts:
+        return {f: None for f in script.output_fields}
+    return script.reduce(script.combine(parts))

@@ -25,10 +25,19 @@ The BM25 hot path keeps dedicated methods (``stats``, ``local_dfs``,
 ``search``, ``msearch``); every other shard op goes through ONE generic
 ``run(key, fn, *args, **kwargs)`` that evaluates ``fn(searcher, ...)``
 on the view. ``fn`` is an unbound ``IndexSearcher`` method or a
-module-level ``(searcher, ...)`` function below, so it pickles by
-reference. The coordinator fans out with ``_all`` (per-actor results),
-``_topk`` (concat + ``topk_desc`` merge), ``_gdfs`` (cached global
-dfs), ``_digest`` (merged t-digest) and ``_key_sum`` (partial-map sum).
+module-level ``(searcher, ...)`` function, so it pickles by reference.
+
+Where shard ops live: the aggregation and term-dictionary ops
+(facets, metric and sketch aggs, terms_enum, rare_terms, the term /
+completion / phrase suggesters) are defined ONCE, as shard partials plus
+a merge, in query/aggs.py and query/suggest.py, and bound here and on
+``IndexSearcher`` as the same function objects; this module supplies
+their context — ``_all`` (one ``run`` per host) and ``_gdfs`` (cached
+global dfs). The scoring ops (``search_*``, ``highlight_best_window``)
+and ``significant_terms`` are written here: coordinator phases (global
+dfs, LM collection stats, expansion lists) plus ``_topk`` (concat +
+``topk_desc`` merge) over ``IndexSearcher`` methods or the few
+module-level shard ops below.
 
 At 256-node scale this is the serving topology: actors pinned per node
 via ``ray.remote(num_cpus=...)``, shard assignment from the manifest,
@@ -39,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import os
 import types
 import uuid
@@ -49,11 +57,11 @@ import numpy as np
 
 import ray
 
-from ..agg.sketches import HyperLogLog, TDigest, hash64
 from ..analysis.analyzer import tokenize
 from ..index.deletes import TOMBSTONE_DIR
 from ..index.manifest import MANIFEST_NAME, IndexManifest
-from .engine import IndexSearcher, finish_string_stats, levenshtein, topk_desc
+from . import aggs, suggest
+from .engine import IndexSearcher, topk_desc
 from .multifield import search_multi_match
 from .queryparser import collect_query_terms, execute_query_string, parse_query
 from .significant import combine_significant, significant_partial
@@ -272,51 +280,6 @@ def _field_dfs(fields: list, keys: list[tuple[str, str]]) -> list[int]:
     return [by_name[f].local_df(t) for f, t in keys]
 
 
-def _cardinality_partial(
-    s: IndexSearcher, terms: list[str], field: str, precision_threshold: int,
-    p: int,
-) -> tuple[str, object]:
-    """The OpenSearch cardinality shard protocol: ship the exact
-    distinct-value set while it is small, upgrade to HLL registers above
-    the threshold — either way the payload is bounded."""
-    import pyarrow.compute as pc
-
-    docs = s._match_union(terms)
-    if docs.size == 0:
-        return ("exact", [])
-    uniq = pc.unique(s.field_values(docs, field))
-    if len(uniq) <= precision_threshold:
-        return ("exact", uniq.to_pylist())
-    h = HyperLogLog(p).add_hashed(hash64(uniq.to_numpy(zero_copy_only=False)))
-    return ("hll", h.to_bytes())
-
-
-def _digest_partial(
-    s: IndexSearcher, terms: list[str], field: str, delta: float,
-    center: float | None = None,
-) -> bytes:
-    """t-digest centroid partial over this actor's match set (a few KiB
-    regardless of match size — TDigestState's transport form); with a
-    ``center``, the digest of |v − center| (phase 2 of the MAD)."""
-    docs = s._match_union(terms)
-    if docs.size == 0:
-        return b""
-    vals = (
-        s.field_values(docs, field)
-        .to_numpy(zero_copy_only=False)
-        .astype(np.float64)
-    )
-    if center is not None:
-        vals = np.abs(vals - center)
-    return TDigest(delta).add(vals).to_bytes()
-
-
-def _terms_enum_partial(s: IndexSearcher, prefix: str) -> dict:
-    """{term: local df} for the prefix slice — the per-shard _terms_enum
-    partial (df sums across disjoint shards)."""
-    return {t: s.local_df(t) for t in s.expand_prefix(prefix)}
-
-
 def _pinned_organic(
     s: IndexSearcher, terms: list[str], pins: list[int], k: int,
     global_dfs: np.ndarray,
@@ -340,28 +303,6 @@ def _has_docs(s: IndexSearcher, ids: list[int]) -> list[bool]:
     ]
 
 
-def _rare_candidates(s: IndexSearcher, max_doc_count: int) -> list[str]:
-    """Terms LOCALLY rare on this actor's shards. A term globally rare
-    must be rare on every shard it appears on, so the union of these
-    lists is a complete candidate set — but local dfs UNDER-COUNT (other
-    shards may hold more docs), so the coordinator re-resolves global dfs
-    before the final cut."""
-    sel = np.flatnonzero(s._gdf <= max_doc_count)
-    return np.asarray(s._gterms, dtype=object)[sel].tolist()
-
-
-def _expand_suggest(
-    s: IndexSearcher, tokens: list[str], max_edits: int, prefix_length: int
-) -> list[list[str]]:
-    """Local-dictionary fuzzy expansions, one list per token, the token
-    itself excluded (a term can live on only some shards; the union is
-    the global dictionary)."""
-    return [
-        [t for t in s.expand_fuzzy(tok, max_edits, prefix_length) if t != tok]
-        for tok in tokens
-    ]
-
-
 # -- coordinator-side merges ----------------------------------------------
 
 
@@ -376,20 +317,13 @@ def _merge_topk(parts: list, k: int) -> tuple[np.ndarray, np.ndarray]:
     return topk_desc(docs, scores, k)
 
 
-def _key_sum(partials, acc: dict | None = None) -> dict:
-    """Sum per-shard (key, count) iterables by key — exact for every
-    distributive count (each doc lives on exactly one shard)."""
-    acc = {} if acc is None else acc
-    for pairs in partials:
-        for key, c in pairs:
-            acc[key] = acc.get(key, 0) + c
-    return acc
-
-
 class _ShardPool:
     """Driver-side pool: one view per borrowed host over disjoint
     doc-shard subsets, plus the generic fan-out helpers every
     coordinator op is written in."""
+
+    # matched values live on the hosts: no co-located-only agg extras
+    _co_located = False
 
     def __init__(
         self, factory, source, digest: str, num_doc_shards: int, num_actors: int
@@ -484,30 +418,30 @@ class DistributedSearcher(_ShardPool):
             self._gdf, lambda m: self._call("local_dfs", m), terms
         )
 
-    def _digest(
-        self, terms: list[str], field: str, delta: float,
-        center: float | None = None,
-    ) -> TDigest | None:
-        """Merged t-digest of the shard partials (None: no matches)."""
-        parts = [
-            b
-            for b in self._all(_digest_partial, terms, field, delta, center)
-            if b
-        ]
-        if not parts:
-            return None
-        t = TDigest.from_bytes(parts[0])
-        for b in parts[1:]:
-            t.merge(TDigest.from_bytes(b))
-        return t
-
-    def _stats_partials(self, terms: list[str], field: str) -> list[dict]:
-        """Non-empty per-shard extended_stats partials."""
-        return [
-            p
-            for p in self._all(IndexSearcher.agg_extended_stats, terms, field)
-            if p["count"]
-        ]
+    # aggregation and dictionary ops: the same functions IndexSearcher
+    # binds (query/aggs.py, query/suggest.py); the t-digest tier of the
+    # quantile aggs is the only tier (exact needs co-located values)
+    facet_terms = aggs.facet_terms
+    facet_top_hits = aggs.facet_top_hits
+    agg_composite = aggs.agg_composite
+    agg_extended_stats = aggs.agg_extended_stats
+    agg_t_test = aggs.agg_t_test
+    agg_matrix_stats = aggs.agg_matrix_stats
+    agg_range = aggs.agg_range
+    agg_filters = aggs.agg_filters
+    agg_adjacency_matrix = aggs.agg_adjacency_matrix
+    agg_cardinality = aggs.agg_cardinality
+    agg_string_stats = aggs.agg_string_stats
+    agg_scripted_metric = aggs.agg_scripted_metric
+    agg_percentiles = aggs.tdigest_percentiles
+    agg_percentile_ranks = aggs.tdigest_percentile_ranks
+    agg_mad = aggs.tdigest_mad
+    agg_boxplot = aggs.tdigest_boxplot
+    terms_enum = suggest.terms_enum
+    agg_rare_terms = suggest.agg_rare_terms
+    suggest_term = suggest.suggest_term
+    suggest_completion = suggest.suggest_completion
+    suggest_phrase = suggest.suggest_phrase
 
     def warmup(self, term_lists: list[list[str]]) -> None:
         """Batched cache warmup for an expected query workload — the
@@ -636,157 +570,6 @@ class DistributedSearcher(_ShardPool):
             global_dfs=self._gdfs(list(terms[:-1]) + expansions),
         )
 
-    def facet_terms(self, terms: list[str], field: str, size: int = 10):
-        """Distributed terms aggregation: shard-local FULL partial maps
-        (size=None; match set and doc-values are shard-resident, bounded
-        by field cardinality), coordinator sums by value, then the
-        global (count desc, value asc) top-size cut — exact because
-        partials are complete per shard (no shard_size approximation)."""
-        parts = self._all(IndexSearcher.facet_terms, terms, field, size=None)
-        acc = _key_sum(zip(values, counts) for values, counts in parts)
-        if not acc:
-            return [], np.empty(0, np.int64)
-        values = list(acc)
-        counts = np.asarray([acc[v] for v in values], dtype=np.int64)
-        order = np.lexsort((np.asarray(values, dtype=object), -counts))
-        sel = order[:size] if size is not None else order
-        return [values[i] for i in sel], counts[sel]
-
-    def agg_cardinality(
-        self,
-        terms: list[str],
-        field: str,
-        precision_threshold: int = 3000,
-        p: int = 14,
-    ) -> dict:
-        """Distributed cardinality agg: shard partials are exact value
-        sets while small (merged by set union — still exact) and HLL
-        registers otherwise (merged by register max). The coordinator
-        only downgrades to an estimate when the UNION outgrows the
-        threshold or any shard upgraded — OpenSearch's semantics."""
-        parts = self._all(
-            _cardinality_partial, terms, field, precision_threshold, p
-        )
-        exact_vals: set = set()
-        sketches: list[bytes] = []
-        for kind, payload in parts:
-            if kind == "exact":
-                exact_vals.update(payload)
-            else:
-                sketches.append(payload)
-        if not sketches and len(exact_vals) <= precision_threshold:
-            return {"value": len(exact_vals), "exact": True}
-        h = HyperLogLog(p)
-        if sketches:
-            h.merge(HyperLogLog.merge_payloads(sketches))
-        if exact_vals:
-            h.add_hashed(hash64(np.asarray(sorted(exact_vals))))
-        return {"value": h.estimate(), "exact": False}
-
-    def agg_percentiles(
-        self,
-        terms: list[str],
-        field: str,
-        pcts: tuple[float, ...] = (1, 5, 25, 50, 75, 95, 99),
-        delta: float = 100.0,
-    ) -> np.ndarray:
-        """Distributed percentiles agg (t-digest tier — the mergeable
-        form; the exact linear-interpolation tier needs co-located
-        values and stays single-searcher / Ray-Data sort territory)."""
-        t = self._digest(terms, field, delta)
-        if t is None:
-            return np.full(len(pcts), np.nan)
-        return t.quantiles(np.asarray(pcts, dtype=np.float64) / 100.0)
-
-    def agg_extended_stats(self, terms: list[str], field: str) -> dict:
-        """Distributed extended_stats: (count, min, max, sum, sum_sq)
-        partials merge associatively; avg/variance/std computed once at
-        the coordinator with the same float expression as the single
-        searcher — bitwise identical."""
-        parts = self._stats_partials(terms, field)
-        if not parts:
-            return {
-                "count": 0, "min": None, "max": None, "sum": 0,
-                "avg": None, "sum_of_squares": 0, "variance": None,
-                "std_deviation": None,
-            }
-        n = sum(p["count"] for p in parts)
-        total = sum(p["sum"] for p in parts)
-        sum_sq = sum(p["sum_of_squares"] for p in parts)
-        avg = total / n
-        var = sum_sq / n - avg * avg
-        return {
-            "count": n,
-            "min": min(p["min"] for p in parts),
-            "max": max(p["max"] for p in parts),
-            "sum": total,
-            "avg": avg,
-            "sum_of_squares": sum_sq,
-            "variance": var,
-            "std_deviation": float(np.sqrt(var)),
-        }
-
-    def agg_t_test(
-        self,
-        terms_a: list[str],
-        terms_b: list[str],
-        field: str,
-        mode: str = "heteroscedastic",
-    ) -> dict:
-        """Distributed t_test: exact int64 (n, Σv, Σv²) moment partials
-        per side summed at the coordinator, then the SAME pinned final
-        expression as IndexSearcher.agg_t_test — bitwise identical to
-        the single-node run."""
-        pa_ = self._all(IndexSearcher._field_moments, terms_a, field)
-        pb = self._all(IndexSearcher._field_moments, terms_b, field)
-        n1, s1, ss1 = (sum(p[i] for p in pa_) for i in range(3))
-        n2, s2, ss2 = (sum(p[i] for p in pb) for i in range(3))
-        if n1 < 2 or n2 < 2:
-            return {"n1": n1, "n2": n2, "t": None}
-        m1, m2 = s1 / n1, s2 / n2
-        v1 = (ss1 - s1 * (s1 / n1)) / (n1 - 1)
-        v2 = (ss2 - s2 * (s2 / n2)) / (n2 - 1)
-        if mode == "heteroscedastic":
-            denom = np.sqrt(v1 / n1 + v2 / n2)
-        elif mode == "homoscedastic":
-            sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
-            denom = np.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
-        else:
-            raise ValueError(f"unknown t_test mode: {mode}")
-        t = (m1 - m2) / denom if denom > 0 else None
-        return {"n1": n1, "n2": n2, "t": None if t is None else float(t)}
-
-    def agg_string_stats(self, terms: list[str], field: str) -> dict:
-        """Distributed string_stats: count/extrema/total partials merge
-        associatively, per-codepoint histograms merge by key; entropy is
-        one coordinator pass in sorted-codepoint order — identical float
-        result regardless of sharding (engine.finish_string_stats)."""
-        return finish_string_stats(
-            self._all(IndexSearcher.string_stats_partial, terms, field)
-        )
-
-    def agg_boxplot(
-        self, terms: list[str], field: str, delta: float = 100.0
-    ) -> dict:
-        """Distributed boxplot (t-digest tier): exact min/max ride the
-        extended_stats partials; the quartiles come from the merged
-        digest — the reference's mergeable-sketch shape (the exact
-        PERCENTILE_CONT tier needs co-located values and stays
-        single-searcher)."""
-        stats = self._stats_partials(terms, field)
-        if not stats:
-            return {"min": None, "q1": None, "q2": None, "q3": None,
-                    "max": None}
-        t = self._digest(terms, field, delta)
-        q1, q2, q3 = t.quantiles(np.asarray([0.25, 0.5, 0.75]))
-        return {
-            "min": float(min(p["min"] for p in stats)),
-            "q1": float(q1),
-            "q2": float(q2),
-            "q3": float(q3),
-            "max": float(max(p["max"] for p in stats)),
-        }
-
     def search_distance_feature(
         self, terms: list[str], field: str, *, k: int = 10, **kwargs
     ):
@@ -826,24 +609,6 @@ class DistributedSearcher(_ShardPool):
             global_dfs_big=self._gdfs(big),
         )
 
-    def terms_enum(
-        self, prefix: str, size: int = 10, min_df: int = 1
-    ) -> tuple[list[str], np.ndarray]:
-        """Distributed _terms_enum: per-shard prefix slices merged by
-        df-sum (disjoint shards), term-ordered cut — identical to the
-        single searcher."""
-        merged = _key_sum(
-            m.items() for m in self._all(_terms_enum_partial, prefix)
-        )
-        out_t, out_d = [], []
-        for t in sorted(merged):
-            if merged[t] >= min_df:
-                out_t.append(t)
-                out_d.append(merged[t])
-                if len(out_t) >= size:
-                    break
-        return out_t, np.asarray(out_d, dtype=np.int64)
-
     def search_pinned(
         self, pinned_ids: list[int], terms: list[str], k: int = 10
     ):
@@ -873,70 +638,6 @@ class DistributedSearcher(_ShardPool):
             np.concatenate([pin_docs, organic_docs]),
             np.concatenate([pin_scores, organic_scores]),
         )
-
-    def agg_scripted_metric(self, terms: list[str], script) -> dict:
-        """Distributed scripted_metric: every shard runs the map script
-        over its own match set, the coordinator folds the opaque states
-        with the script's combine and applies reduce ONCE — the
-        OpenSearch script contract verbatim (combine must be
-        associative; reduce sees all shard states)."""
-        parts = [
-            p
-            for p in self._all(
-                IndexSearcher.agg_scripted_partial, terms, script
-            )
-            if p is not None
-        ]
-        if not parts:
-            return {f: None for f in script.output_fields}
-        return script.reduce(script.combine(parts))
-
-    def agg_adjacency_matrix(
-        self, terms: list[str], filters: dict
-    ) -> dict:
-        """Distributed adjacency_matrix: every doc lives on exactly one
-        shard, so singles AND pairwise intersections are distributive
-        count-sums (zero buckets stay omitted)."""
-        parts = self._all(IndexSearcher.agg_adjacency_matrix, terms, filters)
-        return _key_sum(p.items() for p in parts)
-
-    def agg_percentile_ranks(
-        self,
-        terms: list[str],
-        field: str,
-        values: tuple[float, ...],
-        delta: float = 100.0,
-    ) -> np.ndarray:
-        """Distributed percentile_ranks (t-digest tier): invert the
-        merged digest's quantile function by bisection (the exact
-        empirical-CDF tier needs co-located values and stays
-        single-searcher)."""
-        t = self._digest(terms, field, delta)
-        if t is None:
-            return np.full(len(values), np.nan)
-        out = []
-        for x in values:
-            lo, hi = 0.0, 1.0
-            for _ in range(40):
-                mid = (lo + hi) / 2.0
-                if t.quantile(mid) <= x:
-                    lo = mid
-                else:
-                    hi = mid
-            out.append(100.0 * lo)
-        return np.asarray(out)
-
-    def agg_mad(
-        self, terms: list[str], field: str, delta: float = 100.0
-    ) -> float:
-        """Distributed MAD (t-digest tier, two phases): merged digest →
-        approximate median, then per-shard digests of |v − median| →
-        merged → median again. Both phases ship only centroid bytes."""
-        t = self._digest(terms, field, delta)
-        if t is None:
-            return float("nan")
-        med = t.quantile(0.5)
-        return float(self._digest(terms, field, delta, med).quantile(0.5))
 
     def significant_terms(
         self, terms: list[str], size: int = 10, min_doc_count: int = 1
@@ -1048,41 +749,6 @@ class DistributedSearcher(_ShardPool):
             global_dfs=self._gdfs(sterms), **kwargs,
         )
 
-    def agg_matrix_stats(
-        self, terms: list[str], field_x: str, field_y: str = "_dl"
-    ) -> dict:
-        """Distributed matrix_stats: shard partials are the six exact
-        integer sums, merged by plain addition at the coordinator — the
-        derived doubles are then BIT-IDENTICAL to single-node (same
-        exact sums, same expressions). Higher moments (skew/kurt) are a
-        single-node extra; the distributed protocol ships only the
-        mergeable core (the agg's documented RunningStats merge)."""
-        parts = self._all(
-            IndexSearcher.agg_matrix_stats_partial, terms, field_x, field_y
-        )
-        n, sum_x, sum_xx, sum_y, sum_yy, sum_xy = (
-            sum(p[i] for p in parts) for i in range(6)
-        )
-        if n == 0:
-            return {"n": 0}
-        mean_x, mean_y = sum_x / n, sum_y / n
-        var_x = sum_xx / n - mean_x * mean_x
-        var_y = sum_yy / n - mean_y * mean_y
-        cov = sum_xy / n - mean_x * mean_y
-        denom = np.sqrt(var_x * var_y)
-        return {
-            "n": n,
-            "sum_x": sum_x,
-            "sum_y": sum_y,
-            "sum_xy": sum_xy,
-            "mean_x": mean_x,
-            "mean_y": mean_y,
-            "var_x": var_x,
-            "var_y": var_y,
-            "cov": cov,
-            "corr": cov / denom if denom > 0 else 0.0,
-        }
-
     def highlight_best_window(
         self, terms: list[str], doc_ids: np.ndarray, window: int = 8
     ):
@@ -1097,57 +763,6 @@ class DistributedSearcher(_ShardPool):
         order = np.argsort(d)
         return d[order], w[order], h[order]
 
-    def agg_range(
-        self, terms: list[str], field: str, ranges: list[tuple]
-    ) -> list[dict]:
-        """Distributed range agg: the range list is fixed, so shard
-        partials are aligned (cnt, sum) vectors — elementwise sum."""
-        parts = self._all(IndexSearcher.agg_range, terms, field, ranges)
-        return [
-            {
-                "from": lo,
-                "to": hi,
-                "cnt": sum(p[i]["cnt"] for p in parts),
-                "sum_v": sum(p[i]["sum_v"] for p in parts),
-            }
-            for i, (lo, hi) in enumerate(ranges)
-        ]
-
-    def facet_top_hits(
-        self, terms: list[str], field: str, k_per_bucket: int = 3
-    ):
-        """Distributed terms-bucket top_hits: per-shard per-bucket top-k
-        partials merged bucket-wise at the coordinator, then re-cut —
-        exact because each shard's partial is complete for its docs."""
-        sterms = sorted(set(terms))
-        parts = self._all(
-            IndexSearcher.facet_top_hits, sterms, field, k_per_bucket,
-            global_dfs=self._gdfs(sterms),
-        )
-        acc: dict = {}
-        for values, _, docs, scores in parts:
-            for v, d, s in zip(values, docs, scores):
-                acc.setdefault(v, ([], []))
-                acc[v][0].append(d)
-                acc[v][1].append(s)
-        out_v, out_r, out_d, out_s = [], [], [], []
-        for bucket in sorted(acc):
-            d = np.asarray(acc[bucket][0], dtype=np.int64)
-            s = np.asarray(acc[bucket][1], dtype=np.float64)
-            order = np.lexsort((d, -s))[:k_per_bucket]
-            out_v += [bucket] * order.size
-            out_r += list(range(1, order.size + 1))
-            out_d.append(d[order])
-            out_s.append(s[order])
-        if not out_v:
-            return [], np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
-        return (
-            out_v,
-            np.asarray(out_r, dtype=np.int64),
-            np.concatenate(out_d),
-            np.concatenate(out_s),
-        )
-
     def search_synonym(
         self, groups: list[list[str]], k: int = 10
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1160,157 +775,6 @@ class DistributedSearcher(_ShardPool):
             k, IndexSearcher.search_synonym, gsets, k,
             global_dfs=[self._gdfs(g) for g in gsets],
         )
-
-    def agg_rare_terms(
-        self, max_doc_count: int = 1, size: int = 10
-    ) -> tuple[list[str], np.ndarray]:
-        """Distributed rare_terms, two-phase for exactness: (1) union of
-        locally-rare candidates (complete: global df ≥ every local df);
-        (2) GLOBAL df re-resolution for the candidates — a term rare on
-        one shard but frequent overall is correctly dropped, and
-        under-counted local dfs are corrected before the cut."""
-        if max_doc_count < 1:
-            raise ValueError("max_doc_count must be >= 1")
-        cand_lists = self._all(_rare_candidates, max_doc_count)
-        cands = sorted({t for cl in cand_lists for t in cl})
-        if not cands:
-            return [], np.empty(0, np.int64)
-        self._gdfs(cands)
-        terms = np.asarray(
-            [t for t in cands if self._gdf[t] <= max_doc_count],
-            dtype=object,
-        )
-        if terms.size == 0:
-            return [], np.empty(0, np.int64)
-        dfs = np.asarray(
-            [int(self._gdf[t]) for t in terms], dtype=np.int64
-        )
-        order = np.lexsort((terms, dfs))[:size]
-        return terms[order].tolist(), dfs[order]
-
-    def agg_composite(
-        self,
-        terms: list[str],
-        sources: list[tuple],
-        size: int = 10,
-        after: tuple | None = None,
-    ):
-        """Distributed composite agg: per-shard FULL bucket maps
-        (size=None, bounded by bucket cardinality) merged by key-sum,
-        then one global key-ordered after/size cut — exact because each
-        partial is complete for its shard's docs."""
-        parts = self._all(IndexSearcher.agg_composite, terms, sources, size=None)
-        acc = _key_sum(zip(map(tuple, keys), counts) for keys, counts in parts)
-        keys = sorted(acc)
-        if after is not None:
-            keys = [k for k in keys if k > tuple(after)]
-        keys = keys[:size]
-        return keys, np.asarray([acc[k] for k in keys], dtype=np.int64)
-
-    def agg_filters(
-        self, terms: list[str], filters: dict
-    ) -> dict:
-        """Distributed filters agg: per-shard counts sum (distributive)."""
-        parts = self._all(IndexSearcher.agg_filters, terms, filters)
-        return _key_sum((p.items() for p in parts), dict.fromkeys(filters, 0))
-
-    def suggest_term(
-        self,
-        term: str,
-        size: int = 5,
-        *,
-        max_edits: int = 2,
-        prefix_length: int = 0,
-        suggest_mode: str = "missing",
-    ) -> list[tuple[str, int, int]]:
-        """Distributed term suggester: candidates are the UNION of
-        shard-dictionary expansions (a term can live on only some
-        shards), frequencies are global dfs via the coordinator cache,
-        ranking identical to the single searcher."""
-        if suggest_mode not in ("missing", "always"):
-            raise ValueError("suggest_mode must be 'missing' or 'always'")
-        if suggest_mode == "missing" and self._gdfs([term])[0] > 0:
-            return []
-        cand_sets = self._all(_expand_suggest, [term], max_edits, prefix_length)
-        cands = sorted({t for cs in cand_sets for t in cs[0]})
-        if not cands:
-            return []
-        self._gdfs(cands)
-        scored = sorted(
-            (levenshtein(term, t), -int(self._gdf[t]), t) for t in cands
-        )[:size]
-        return [(t, -negdf, d) for d, negdf, t in scored]
-
-    def suggest_phrase(
-        self,
-        vocab: dict,
-        lnp: np.ndarray,
-        text: str,
-        *,
-        size: int = 3,
-        max_edits: int = 1,
-        per_token: int = 5,
-        edit_penalty: float | None = None,
-    ) -> list[tuple[str, float]]:
-        """Distributed phrase suggester: per-token candidates from the
-        UNION of shard-dictionary expansions (one call per actor carries
-        every token) ranked by GLOBAL df, then the same noisy-channel LM
-        scoring as query/suggest.py (the LM arrays are broadcast by the
-        caller)."""
-        if edit_penalty is None:
-            edit_penalty = math.log(0.5)
-        tokens = tokenize(text)
-        if not tokens:
-            return []
-        expansions = self._all(_expand_suggest, tokens, max_edits, 0)
-        floor = float(np.min(lnp) - math.log(2.0)) if len(lnp) else 0.0
-        per_tok_cands = []
-        all_cands = set()
-        for ti, tok in enumerate(tokens):
-            cs = {t for per_actor in expansions for t in per_actor[ti]}
-            cs.add(tok)  # _expand_suggest drops the input token itself
-            all_cands |= cs
-            per_tok_cands.append(cs)
-        self._gdfs(sorted(all_cands))
-        out_cands = []
-        for tok, cs in zip(tokens, per_tok_cands):
-            present = [t for t in cs if self._gdf.get(t, 0) > 0]
-            scored = sorted(
-                (levenshtein(tok, t), -int(self._gdf[t]), t)
-                for t in present
-            )[:per_token]
-            if not scored:
-                out_cands.append([(tok, floor, 0)])
-                continue
-            out_cands.append(
-                [
-                    (t, float(lnp[vocab[t]]) if t in vocab else floor, d)
-                    for d, _, t in scored
-                ]
-            )
-        phrases: list[tuple[str, ...]] = [()]
-        for cands in out_cands:
-            phrases = [p + (c[0],) for p in phrases for c in cands]
-        lookup = [{c[0]: c for c in cands} for cands in out_cands]
-        orig = tuple(tokens)
-        results = []
-        for p in phrases:
-            if p == orig:
-                continue
-            score, edits = 0.0, 0
-            for i, t in enumerate(p):
-                _, lp, d = lookup[i][t]
-                score += lp
-                edits += d
-            raw = score + edit_penalty * edits
-            r6 = (
-                math.floor(raw * 1e6 + 0.5) / 1e6
-                if raw >= 0
-                else math.ceil(raw * 1e6 - 0.5) / 1e6
-            )
-            results.append((" ".join(p), r6))
-        results.sort(key=lambda r: (-r[1], r[0]))
-        return results[:size]
 
     def _search_multiterm(self, k: int, fn, /, *args, **kwargs):
         """Constant-score multi-term queries (prefix / wildcard / fuzzy /
@@ -1356,22 +820,6 @@ class DistributedSearcher(_ShardPool):
             k, IndexSearcher.search_match_bool_prefix, text, k=k,
             global_dfs=gdfs,
         )
-
-    def suggest_completion(self, prefix: str, size: int = 5):
-        """Distributed completion: per-shard FULL (terms, local dfs)
-        dictionary slices (size=None — bounded by the dictionary, never a
-        postings decode) merge by df SUM per term (a term's postings are
-        split across doc shards), then one global (weight desc, term asc)
-        cut."""
-        parts = self._all(IndexSearcher.suggest_completion, prefix, size=None)
-        agg = _key_sum(zip(terms, dfs.tolist()) for terms, dfs in parts)
-        if not agg:
-            return [], np.empty(0, np.int64)
-        terms = np.asarray(sorted(agg), dtype=object)
-        weights = np.asarray([agg[str(t)] for t in terms], dtype=np.int64)
-        order = np.lexsort((terms, -weights))[:size]
-        return [str(t) for t in terms[order]], weights[order]
-
 
 class MultiFieldDistributedSearcher(_ShardPool):
     """Distributed multi_match: per-field global-df phase, shard-local

@@ -22,17 +22,17 @@ the other match-union operators use.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..config import BM25Config, QueryConfig
 from ..index.codec import decoder_for
 from ..index.manifest import DOCLEN_BUCKET, IndexManifest
 from ..state.stats import stats
+from . import aggs, suggest
 from .bm25 import bm25_idf, bm25_term_idfs
 
 
@@ -62,47 +62,6 @@ def topk_desc(doc_ids: np.ndarray, scores: np.ndarray, k: int):
     order = np.lexsort((doc_ids[pool], -scores[pool]))[:k]
     sel = pool[order]
     return doc_ids[sel], scores[sel]
-
-
-def finish_string_stats(partials: list) -> dict:
-    """Coordinator finalize for string_stats shard partials (see
-    IndexSearcher.string_stats_partial): merge counts/extrema/totals
-    associatively, merge the per-codepoint histograms by key (sorted
-    codepoint order, so the entropy float-sum order is identical no
-    matter how the corpus was sharded), then one entropy pass."""
-    parts = [p for p in partials if p is not None]
-    if not parts:
-        return {"count": 0, "min_length": None, "max_length": None,
-                "avg_length": None, "entropy": 0.0}
-    count = sum(p[0] for p in parts)
-    total = sum(p[3] for p in parts)
-    allu = np.concatenate([p[4] for p in parts])
-    allc = np.concatenate([p[5] for p in parts])
-    uniq, inv = np.unique(allu, return_inverse=True)
-    cnt = np.zeros(uniq.size, dtype=np.int64)
-    np.add.at(cnt, inv, allc)
-    p = cnt / total
-    return {
-        "count": count,
-        "min_length": min(q[1] for q in parts),
-        "max_length": max(q[2] for q in parts),
-        "avg_length": total / count,
-        "entropy": float(-(p * np.log2(p)).sum()) if total else 0.0,
-    }
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Plain (unweighted) edit distance — the suggest/fuzzy ranking
-    metric; DuckDB's levenshtein() is oracle-exact against it."""
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(
-                min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-            )
-        prev = cur
-    return prev[-1]
 
 
 class _LruTerms:
@@ -350,6 +309,20 @@ class IndexSearcher:
         rerank — ByFieldRerankProcessor.java:72-160 analogue)."""
         return self.doc_values().lookup(doc_ids, column)
 
+    def field_array(
+        self, doc_ids: np.ndarray, column: str, dtype=np.int64
+    ) -> np.ndarray:
+        """``field_values`` as a numpy ``dtype`` array (exact int64 by
+        default — the numeric agg and scoring input); the pseudo-column
+        ``"_dl"`` is the BM25 doc length."""
+        if column == "_dl":
+            return self.doc_length(doc_ids).astype(dtype)
+        return (
+            self.field_values(doc_ids, column)
+            .to_numpy(zero_copy_only=False)
+            .astype(dtype)
+        )
+
     # ---- stats -----------------------------------------------------------
     def local_df(self, term: str) -> int:
         g = self._gid.get(term)
@@ -358,6 +331,47 @@ class IndexSearcher:
     def doc_length(self, doc_ids: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self._dl_doc_ids, doc_ids)
         return self._dl[pos]
+
+    # ---- aggregation and dictionary ops (query/aggs.py, query/suggest.py)
+    # Each is defined once and bound here and on DistributedSearcher:
+    # this searcher is the one-shard context — ``_all`` evaluates a shard
+    # partial on itself, ``_gdfs`` reads its own term dictionary, and
+    # every matched value is in-process (``_co_located``).
+    _co_located = True
+
+    def _all(self, fn, /, *args, **kwargs) -> list:
+        """The shard op ``fn`` over this searcher: its one partial."""
+        return [fn(self, *args, **kwargs)]
+
+    def _gdfs(self, terms: list[str]) -> np.ndarray:
+        """dfs aligned to ``terms`` (0 for a term not in the dictionary),
+        float64: term ids from the dictionary's hash index, then one
+        vectorized gather."""
+        ids = np.fromiter((self._gid.get(t, -1) for t in terms), np.int64,
+                          len(terms))
+        if not self._gdf.size:
+            return np.zeros(ids.size, np.float64)
+        return np.where(ids >= 0, self._gdf[ids], 0).astype(np.float64)
+
+    facet_terms = aggs.facet_terms
+    facet_top_hits = aggs.facet_top_hits
+    agg_composite = aggs.agg_composite
+    agg_stats = aggs.agg_stats
+    agg_extended_stats = aggs.agg_extended_stats
+    agg_sampler = aggs.agg_sampler
+    agg_t_test = aggs.agg_t_test
+    agg_matrix_stats = aggs.agg_matrix_stats
+    agg_range = aggs.agg_range
+    agg_filters = aggs.agg_filters
+    agg_adjacency_matrix = aggs.agg_adjacency_matrix
+    agg_cardinality = aggs.agg_cardinality
+    agg_string_stats = aggs.agg_string_stats
+    agg_scripted_metric = aggs.agg_scripted_metric
+    terms_enum = suggest.terms_enum
+    agg_rare_terms = suggest.agg_rare_terms
+    suggest_term = suggest.suggest_term
+    suggest_completion = suggest.suggest_completion
+    suggest_phrase = suggest.suggest_phrase
 
     # ---- postings access (lazy decode + LRU) -----------------------------
     def postings_full(self, term: str):
@@ -673,9 +687,7 @@ class IndexSearcher:
     def expand_prefix(self, prefix: str) -> list[str]:
         """Terms of this searcher's dictionary starting with ``prefix``
         (binary search over the sorted term array — never a full scan)."""
-        lo = np.searchsorted(self._gterms, prefix)
-        hi = np.searchsorted(self._gterms, prefix + chr(0x10FFFF))
-        return [str(t) for t in self._gterms[lo:hi]]
+        return [str(t) for t in suggest._dict_slice(self, prefix)[0]]
 
     def _constant_score_union(
         self, terms: list[str], k: int
@@ -1123,127 +1135,6 @@ class IndexSearcher:
         scores = idf_sum * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
         return topk_desc(docs_u, scores, k)
 
-    def facet_terms(
-        self, terms: list[str], field: str, size: int = 10
-    ) -> tuple[list, np.ndarray]:
-        """Terms aggregation over the match set of a boolean-OR term
-        query (the OpenSearch terms agg / Lucene facet counting the
-        reference inherits for its hybrid result pages): doc count per
-        ``field`` value, top ``size`` buckets by (count desc, value asc).
-
-        Shard-local by construction — the match set and the doc-values
-        sidecar are both shard-resident; a shard-subset actor returns
-        its full partial map (bounded by field cardinality, NOT doc
-        count) and the coordinator sums, so the distributed counts are
-        EXACT — no shard_size approximation needed."""
-        import pyarrow.compute as pc
-
-        arrs = [self.postings(t)[0] for t in sorted(set(terms))]
-        arrs = [a for a in arrs if a.size]
-        if not arrs:
-            return [], np.empty(0, np.int64)
-        docs = (
-            np.unique(np.concatenate(arrs)) if len(arrs) > 1 else arrs[0]
-        )
-        vc = pc.value_counts(self.field_values(docs, field))
-        values = vc.field("values").to_pylist()
-        counts = (
-            vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        order = np.lexsort((np.asarray(values, dtype=object), -counts))
-        sel = order[:size] if size is not None else order
-        return [values[i] for i in sel], counts[sel]
-
-    def agg_stats(self, terms: list[str], field: str) -> dict:
-        """Stats aggregation (OpenSearch stats agg) over the boolean-OR
-        match set: count / min / max / sum / avg of a numeric doc-values
-        field. Sum and extrema are exact int64; avg is the exact-int sum
-        divided once (so a SQL oracle computing sum/count matches
-        bitwise). Shard-local partials (count, min, max, sum) combine
-        associatively at a coordinator — the standard distributive-agg
-        merge."""
-        arrs = [self.postings(t)[0] for t in sorted(set(terms))]
-        arrs = [a for a in arrs if a.size]
-        if not arrs:
-            return {"count": 0, "min": None, "max": None, "sum": 0, "avg": None}
-        docs = (
-            np.unique(np.concatenate(arrs)) if len(arrs) > 1 else arrs[0]
-        )
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        total = int(vals.sum())
-        return {
-            "count": int(vals.size),
-            "min": int(vals.min()),
-            "max": int(vals.max()),
-            "sum": total,
-            "avg": total / vals.size,
-        }
-
-    def agg_extended_stats(self, terms: list[str], field: str) -> dict:
-        """extended_stats aggregation (OpenSearch extended_stats agg):
-        agg_stats plus sum_of_squares / variance / std_deviation, with
-        OpenSearch's population-variance formula
-        ``var = sum_sq/n − avg²`` (ExtendedStatsAggregator.java's
-        textbook shortcut, NOT Welford) so the SQL oracle reproduces it
-        term for term. Shard partials (count, min, max, sum, sum_sq)
-        merge associatively — same distributive shape as agg_stats."""
-        docs = self._match_union(terms)
-        if docs.size == 0:
-            return {
-                "count": 0, "min": None, "max": None, "sum": 0,
-                "avg": None, "sum_of_squares": 0, "variance": None,
-                "std_deviation": None,
-            }
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        total = int(vals.sum())
-        sum_sq = int((vals * vals).sum())
-        n = vals.size
-        avg = total / n
-        var = sum_sq / n - avg * avg
-        return {
-            "count": int(n),
-            "min": int(vals.min()),
-            "max": int(vals.max()),
-            "sum": total,
-            "avg": avg,
-            "sum_of_squares": sum_sq,
-            "variance": var,
-            "std_deviation": float(np.sqrt(var)),
-        }
-
-    def agg_sampler(
-        self, terms: list[str], field: str, shard_size: int = 100
-    ) -> dict:
-        """sampler aggregation (OpenSearch SamplerAggregator): run the
-        sub-metrics over only the top-``shard_size`` best-scoring match
-        docs (this searcher = one shard, so the sample is the global
-        score top-N). Sub-agg here is the stats shape over a numeric
-        doc-values field — exact int64, avg divided once."""
-        docs, _ = self.search_bm25(terms, k=shard_size)
-        if docs.size == 0:
-            return {"count": 0, "min": None, "max": None, "sum": 0, "avg": None}
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        total = int(vals.sum())
-        return {
-            "count": int(vals.size),
-            "min": int(vals.min()),
-            "max": int(vals.max()),
-            "sum": total,
-            "avg": total / vals.size,
-        }
-
     def agg_terms_stats(
         self, terms: list[str], bucket_field: str, metric_field: str
     ) -> list[dict]:
@@ -1259,11 +1150,7 @@ class IndexSearcher:
         if docs.size == 0:
             return []
         keys = self.field_values(docs, bucket_field).to_pylist()
-        vals = (
-            self.field_values(docs, metric_field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
+        vals = self.field_array(docs, metric_field)
         uniq, inv = np.unique(np.asarray(keys, dtype=object), return_inverse=True)
         n = uniq.size
         counts = np.bincount(inv, minlength=n)
@@ -1285,73 +1172,24 @@ class IndexSearcher:
             for i in order
         ]
 
-    def agg_scripted_partial(self, terms: list[str], script):
-        """Shard-local scripted-metric state: the script's map runs
-        vectorized over the match set's doc-values (this searcher = one
-        shard = one mini-batch). None on an empty match set so the
-        coordinator merge can skip the shard entirely."""
-        docs = self._match_union(sorted(set(terms)))
-        if docs.size == 0:
-            return None
-        cols = {
-            c: self.field_values(docs, c).to_numpy(zero_copy_only=False)
-            for c in script.columns
-        }
-        return script.map_batch(cols)
-
-    def agg_scripted_metric(self, terms: list[str], script) -> dict:
-        """scripted_metric aggregation (OpenSearch ScriptedMetricAggregator:
-        init/map/combine/reduce user scripts over arbitrary opaque state,
-        under the associative-combine contract). The script is a
-        registered `agg.scripted.ScriptedMetric`; single-node is the
-        one-shard degenerate case of the distributed merge, so both
-        paths run the identical reduce expression."""
-        part = self.agg_scripted_partial(terms, script)
-        if part is None:
-            return {f: None for f in script.output_fields}
-        return script.reduce(script.combine([part]))
-
     def agg_multi_terms(
         self, terms: list[str], fields: list[str], size: int | None = 10
     ) -> tuple[list[tuple], np.ndarray]:
         """multi_terms aggregation (OpenSearch multi_terms agg):
         composite buckets over 2+ doc-values fields with doc counts,
-        ordered (count desc, key asc lexicographic). Vectorized:
-        per-field np.unique inverses combine into one integer key,
-        bincount, decode. Shard partials are full maps bounded by the
-        PRODUCT of field cardinalities (the agg's documented cost),
-        merged by bucket-key sum."""
+        ordered (count desc, key tuple asc), keys returned as tuples of
+        strings — the composite agg's partial (one Arrow group-by over
+        the field tuple) re-ordered by count. Shard partials are full
+        maps bounded by the PRODUCT of field cardinalities (the agg's
+        documented cost), merged by bucket-key sum."""
         if len(fields) < 2:
             raise ValueError("multi_terms needs >= 2 fields")
-        docs = self._match_union(sorted(set(terms)))
-        if docs.size == 0:
-            return [], np.empty(0, np.int64)
-        uniqs, invs = [], []
-        for f in fields:
-            vals = np.asarray(
-                self.field_values(docs, f).to_pylist(), dtype=object
-            )
-            u, inv = np.unique(vals, return_inverse=True)
-            uniqs.append(u)
-            invs.append(inv)
-        key = invs[0]
-        for inv, u in zip(invs[1:], uniqs[1:]):
-            key = key * u.size + inv
-        counts = np.bincount(key)
-        present = np.flatnonzero(counts)
-        cnt = counts[present].astype(np.int64)
-        idxs = []
-        rem = present
-        for u in reversed(uniqs[1:]):
-            idxs.append(rem % u.size)
-            rem = rem // u.size
-        idxs.append(rem)
-        idxs = idxs[::-1]
-        cols = [u[ix] for u, ix in zip(uniqs, idxs)]
-        order = np.lexsort(tuple(reversed(cols)) + (-cnt,))
-        sel = order[:size] if size is not None else order
-        buckets = [tuple(str(c[i]) for c in cols) for i in sel]
-        return buckets, cnt[sel]
+        keys, counts = aggs._composite_partial(
+            self, terms, [("terms", f) for f in fields]
+        )
+        cols = [np.asarray(c, dtype=object) for c in zip(*keys)]
+        order = np.lexsort((*reversed(cols), -counts))[:size]
+        return [tuple(str(c[i]) for c in cols) for i in order], counts[order]
 
     def agg_weighted_avg(
         self, terms: list[str], value_field: str, weight_field: str = "_dl"
@@ -1365,19 +1203,8 @@ class IndexSearcher:
         docs = self._match_union(sorted(set(terms)))
         if docs.size == 0:
             return {"value": None, "sum_vw": 0, "sum_w": 0}
-        vals = (
-            self.field_values(docs, value_field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        if weight_field == "_dl":
-            w = self.doc_length(docs).astype(np.int64)
-        else:
-            w = (
-                self.field_values(docs, weight_field)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
+        vals = self.field_array(docs, value_field)
+        w = self.field_array(docs, weight_field)
         sum_vw = int((vals * w).sum())
         sum_w = int(w.sum())
         return {
@@ -1385,46 +1212,6 @@ class IndexSearcher:
             "sum_vw": sum_vw,
             "sum_w": sum_w,
         }
-
-    def agg_range(
-        self,
-        terms: list[str],
-        field: str,
-        ranges: list[tuple[float | None, float | None]],
-    ) -> list[dict]:
-        """Range aggregation (OpenSearch range agg — RangeAggregator):
-        per-range doc count + exact int sum of ``field`` over the
-        boolean-OR match set, half-open ES semantics lo <= v < hi with
-        open ends. EVERY requested range is emitted, zero buckets
-        included (the agg's contract). Ranges may overlap — each is
-        counted independently (vectorized comparisons, not digitize).
-        Shard partials (cnt, sum per fixed range list) are tiny and
-        merge by elementwise sum."""
-        docs = self._match_union(sorted(set(terms)))
-        if docs.size:
-            vals = (
-                self.field_values(docs, field)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-        else:
-            vals = np.empty(0, np.int64)
-        out = []
-        for lo, hi in ranges:
-            m = np.ones(vals.size, dtype=bool)
-            if lo is not None:
-                m &= vals >= lo
-            if hi is not None:
-                m &= vals < hi
-            out.append(
-                {
-                    "from": lo,
-                    "to": hi,
-                    "cnt": int(m.sum()),
-                    "sum_v": int(vals[m].sum()),
-                }
-            )
-        return out
 
     def agg_diversified_sampler(
         self,
@@ -1458,24 +1245,17 @@ class IndexSearcher:
             self.field_values(docs_o, diversify_field).to_pylist(),
             dtype=object,
         )
-        codes, inv = np.unique(dv, return_inverse=True)
+        _, inv = np.unique(dv, return_inverse=True)
         # occurrence index of each position within its value, in walk
         # order: stable argsort by code keeps walk order inside groups
         grp = np.argsort(inv, kind="stable")
+        g = inv[grp]
         occ = np.empty(inv.size, dtype=np.int64)
-        boundaries = np.flatnonzero(np.diff(inv[grp])) + 1
-        starts = np.concatenate(([0], boundaries))
-        lens = np.diff(np.concatenate((starts, [inv.size])))
-        occ[grp] = np.concatenate([np.arange(n) for n in lens])
+        occ[grp] = np.arange(g.size) - np.searchsorted(g, g)
         keep = np.flatnonzero(occ < max_docs_per_value)[:shard_size]
-        sample = docs_o[keep]
-        vc = pc.value_counts(self.field_values(sample, agg_field))
-        values = vc.field("values").to_pylist()
-        counts = (
-            vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64)
+        return aggs._top_buckets(
+            *aggs._value_counts(self, docs_o[keep], agg_field)
         )
-        o2 = np.lexsort((np.asarray(values, dtype=object), -counts))
-        return [values[i] for i in o2], counts[o2]
 
     def agg_top_metrics(
         self,
@@ -1495,113 +1275,11 @@ class IndexSearcher:
         if docs.size == 0:
             e = np.empty(0, np.int64)
             return e, e, e
-        sv = (
-            self.field_values(docs, sort_field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
+        sv = self.field_array(docs, sort_field)
         sel = np.lexsort((docs, -sv))[:size]
         top = docs[sel]
-        if metric_field == "_dl":
-            mv = self.doc_length(top).astype(np.int64)
-        else:
-            mv = (
-                self.field_values(top, metric_field)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
+        mv = self.field_array(top, metric_field)
         return top, sv[sel], mv
-
-    def agg_matrix_stats(
-        self, terms: list[str], field_x: str, field_y: str = "_dl"
-    ) -> dict:
-        """matrix_stats aggregation (OpenSearch matrix_stats agg —
-        RunningStats/MatrixStatsResults) between two numeric per-doc
-        series over the boolean-OR match set: count, means, population
-        variances, population covariance and Pearson correlation, all
-        derived from EXACT integer power/cross sums (n, Σx, Σx², Σy,
-        Σy², Σxy) — the mergeable shard-partial form (associative
-        integer adds, so re-executed tasks are safe; the agg's
-        RunningStats merge restated). Derived doubles divide the exact
-        sums once each, so a SQL oracle computing the same expressions
-        matches to <1 ulp (both sides round to 6). Skewness/kurtosis
-        (population m3/m2^1.5, m4/m2²) are returned too but are
-        float-central-moment quantities — pytest-pinned, not oracled.
-        ``field_y`` "_dl" pairs against the BM25 doc length."""
-        docs = self._match_union(sorted(set(terms)))
-        if docs.size == 0:
-            return {"n": 0}
-        x = (
-            self.field_values(docs, field_x)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        if field_y == "_dl":
-            y = self.doc_length(docs).astype(np.int64)
-        else:
-            y = (
-                self.field_values(docs, field_y)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-        n = int(docs.size)
-        sum_x, sum_xx = int(x.sum()), int((x * x).sum())
-        sum_y, sum_yy = int(y.sum()), int((y * y).sum())
-        sum_xy = int((x * y).sum())
-        mean_x, mean_y = sum_x / n, sum_y / n
-        var_x = sum_xx / n - mean_x * mean_x
-        var_y = sum_yy / n - mean_y * mean_y
-        cov = sum_xy / n - mean_x * mean_y
-        denom = np.sqrt(var_x * var_y)
-        corr = cov / denom if denom > 0 else 0.0
-        xf = x.astype(np.float64) - mean_x
-        m2 = float((xf * xf).mean())
-        m3 = float((xf * xf * xf).mean())
-        m4 = float((xf * xf * xf * xf).mean())
-        return {
-            "n": n,
-            "sum_x": sum_x,
-            "sum_y": sum_y,
-            "sum_xy": sum_xy,
-            "mean_x": mean_x,
-            "mean_y": mean_y,
-            "var_x": var_x,
-            "var_y": var_y,
-            "cov": cov,
-            "corr": corr,
-            "skew_x": m3 / m2**1.5 if m2 > 0 else 0.0,
-            "kurt_x": m4 / m2**2 if m2 > 0 else 0.0,
-        }
-
-    def agg_matrix_stats_partial(
-        self, terms: list[str], field_x: str, field_y: str = "_dl"
-    ) -> tuple[int, int, int, int, int, int]:
-        """Shard partial for the distributed matrix_stats: the six
-        exact integer sums (n, Σx, Σx², Σy, Σy², Σxy)."""
-        docs = self._match_union(sorted(set(terms)))
-        if docs.size == 0:
-            return (0, 0, 0, 0, 0, 0)
-        x = (
-            self.field_values(docs, field_x)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        if field_y == "_dl":
-            y = self.doc_length(docs).astype(np.int64)
-        else:
-            y = (
-                self.field_values(docs, field_y)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-        return (
-            int(docs.size),
-            int(x.sum()),
-            int((x * x).sum()),
-            int(y.sum()),
-            int((y * y).sum()),
-            int((x * y).sum()),
-        )
 
     def search_terms_set(
         self,
@@ -1661,11 +1339,7 @@ class IndexSearcher:
         docs, scores = self._bm25_union_scores(terms, global_dfs)
         if docs.size == 0:
             return empty
-        v = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
+        v = self.field_array(docs, field, np.float64)
         x = factor * v
         if modifier == "ln1p":
             boost = np.log(1.0 + x)
@@ -1688,79 +1362,13 @@ class IndexSearcher:
         shard partials merge by bucket-key sum."""
         if interval <= 0:
             raise ValueError("interval must be positive")
-        arrs = [self.postings(t)[0] for t in sorted(set(terms))]
-        arrs = [a for a in arrs if a.size]
-        if not arrs:
+        docs = self._match_union(terms)
+        if docs.size == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64)
-        docs = (
-            np.unique(np.concatenate(arrs)) if len(arrs) > 1 else arrs[0]
-        )
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
+        vals = self.field_array(docs, field)
         buckets = (vals // interval) * interval
         u, c = np.unique(buckets, return_counts=True)
         return u, c.astype(np.int64)
-
-    def agg_composite(
-        self,
-        terms: list[str],
-        sources: list[tuple],
-        size: int | None = 10,
-        after: tuple | None = None,
-    ):
-        """Composite aggregation (OpenSearch composite agg — the
-        scalable bucket-export agg): doc-count buckets over a tuple of
-        doc-values sources, KEY-ORDERED ascending and paged with a
-        strict ``after``-key — so a coordinator can stream the full
-        bucket space page by page without holding it.
-
-        ``sources``: list of ("terms", field) or
-        ("histogram", field, interval). Returns (list of key tuples,
-        counts int64). Bucket state is bounded by bucket cardinality,
-        and per-shard partial maps merge by key — the facet_terms
-        distributive shape."""
-        import pyarrow.compute as pc
-
-        docs = self._match_union(terms)
-        if docs.size == 0:
-            return [], np.empty(0, np.int64)
-        cols = {}
-        for i, src in enumerate(sources):
-            kind, field = src[0], src[1]
-            vals = self.field_values(docs, field)
-            if kind == "terms":
-                cols[f"k{i}"] = vals
-            elif kind == "histogram":
-                interval = int(src[2])
-                if interval <= 0:
-                    raise ValueError("interval must be positive")
-                v = vals.to_numpy(zero_copy_only=False).astype(np.int64)
-                cols[f"k{i}"] = pa.array((v // interval) * interval)
-            else:
-                raise ValueError(f"unknown composite source: {kind}")
-        g = (
-            pa.table(cols)
-            .group_by(list(cols))
-            .aggregate([([], "count_all")])
-        )
-        keys = list(
-            zip(*(g[c].to_pylist() for c in cols))
-        )
-        counts = g["count_all"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = sorted(range(len(keys)), key=lambda i: keys[i])
-        keys = [keys[i] for i in order]
-        counts = counts[order]
-        if after is not None:
-            start = 0
-            while start < len(keys) and keys[start] <= tuple(after):
-                start += 1
-            keys, counts = keys[start:], counts[start:]
-        if size is None:  # full partial map (distributed merge path)
-            return keys, counts
-        return keys[:size], counts[:size]
 
     def search_range(
         self, field: str, lo, hi, k: int = 10
@@ -2072,36 +1680,12 @@ class IndexSearcher:
         scores = idf * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
         return topk_desc(docs_u, scores, k)
 
-    def agg_cardinality(
-        self,
-        terms: list[str],
-        field: str,
-        precision_threshold: int = 3000,
-        p: int = 14,
-    ) -> dict:
-        """Cardinality aggregation (OpenSearch cardinality agg —
-        CardinalityAggregator / HyperLogLogPlusPlus): distinct count of
-        a doc-values field over the boolean-OR match set. OpenSearch
-        semantics: EXACT while the observed distinct count stays at or
-        below ``precision_threshold``, HyperLogLog estimate above it.
-        The HLL registers are the distributed form — shard partials
-        merge at a coordinator by elementwise register max (associative
-        + idempotent, so re-executed tasks are safe)."""
-        import pyarrow.compute as pc
-
+    def _float_values(self, terms: list[str], field: str) -> np.ndarray:
+        """``field`` doc-values over the boolean-OR match set, float64."""
         docs = self._match_union(terms)
         if docs.size == 0:
-            return {"value": 0, "exact": True}
-        vals = self.field_values(docs, field)
-        exact = int(pc.count_distinct(vals).as_py())
-        if exact <= precision_threshold:
-            return {"value": exact, "exact": True}
-        from ..agg.sketches import HyperLogLog, hash64
-
-        h = HyperLogLog(p).add_hashed(
-            hash64(vals.to_numpy(zero_copy_only=False))
-        )
-        return {"value": h.estimate(), "exact": False}
+            return np.empty(0, np.float64)
+        return self.field_array(docs, field, np.float64)
 
     def agg_percentiles(
         self,
@@ -2116,22 +1700,15 @@ class IndexSearcher:
         linear-interpolation quantile (PERCENTILE_CONT / numpy
         "linear"); ``method="tdigest"`` is the reference's default
         TDigestState path — a mergeable sketch whose shard partials are
-        a few KiB of centroids regardless of match-set size."""
-        docs = self._match_union(terms)
-        if docs.size == 0:
+        a few KiB of centroids regardless of match-set size
+        (aggs.tdigest_percentiles, shared with DistributedSearcher)."""
+        if method == "tdigest":
+            return aggs.tdigest_percentiles(self, terms, field, pcts, delta)
+        vals = self._float_values(terms, field)
+        if vals.size == 0:
             return np.full(len(pcts), np.nan)
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
         if method == "exact":
             return np.percentile(vals, list(pcts), method="linear")
-        if method == "tdigest":
-            from ..agg.sketches import TDigest
-
-            t = TDigest(delta).add(vals)
-            return t.quantiles(np.asarray(pcts, dtype=np.float64) / 100.0)
         raise ValueError(f"unknown percentiles method: {method}")
 
     def agg_mad(
@@ -2145,81 +1722,18 @@ class IndexSearcher:
         Exact tier = interpolated medians (PERCENTILE_CONT twice,
         SQL-oracleable); ``method="tdigest"`` approximates both medians
         through the sketch like the reference's
-        MedianAbsoluteDeviationAggregator."""
-        docs = self._match_union(terms)
-        if docs.size == 0:
+        MedianAbsoluteDeviationAggregator (aggs.tdigest_mad)."""
+        if method == "tdigest":
+            return aggs.tdigest_mad(self, terms, field, delta)
+        vals = self._float_values(terms, field)
+        if vals.size == 0:
             return float("nan")
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
         if method == "exact":
             med = np.percentile(vals, 50, method="linear")
             return float(
                 np.percentile(np.abs(vals - med), 50, method="linear")
             )
-        if method == "tdigest":
-            from ..agg.sketches import TDigest
-
-            med = TDigest(delta).add(vals).quantile(0.5)
-            return float(
-                TDigest(delta).add(np.abs(vals - med)).quantile(0.5)
-            )
         raise ValueError(f"unknown mad method: {method}")
-
-    def agg_filters(
-        self,
-        terms: list[str],
-        filters: dict[str, tuple],
-    ) -> dict[str, int]:
-        """filters aggregation (named-bucket counts): for each named
-        (column, op, value) predicate, the number of match-set docs
-        accepted — evaluated against the cached doc-values predicate
-        scans, one sorted intersection per bucket."""
-        docs = self._match_union(terms)
-        out: dict[str, int] = {}
-        for name, (column, op, value) in filters.items():
-            if docs.size == 0:
-                out[name] = 0
-                continue
-            acc = self.accepted_ids(column, op, value)
-            out[name] = int(
-                np.intersect1d(docs, acc, assume_unique=True).size
-            )
-        return out
-
-    def agg_adjacency_matrix(
-        self,
-        terms: list[str],
-        filters: dict[str, tuple],
-    ) -> dict[str, int]:
-        """adjacency_matrix aggregation: doc counts for every named
-        filter and every pairwise intersection (key "a&b", names in
-        sorted order — OpenSearch's AdjacencyMatrixAggregator keying),
-        empty buckets omitted. Evaluated as sorted-array intersections
-        against cached doc-values scans."""
-        docs = self._match_union(terms)
-        out: dict[str, int] = {}
-        if docs.size == 0:
-            return out
-        names = sorted(filters)
-        sets = {
-            n: np.intersect1d(
-                docs, self.accepted_ids(*filters[n]), assume_unique=True
-            )
-            for n in names
-        }
-        for i, a in enumerate(names):
-            if sets[a].size:
-                out[a] = int(sets[a].size)
-            for b in names[i + 1 :]:
-                inter = np.intersect1d(
-                    sets[a], sets[b], assume_unique=True
-                ).size
-                if inter:
-                    out[f"{a}&{b}"] = int(inter)
-        return out
 
     def agg_percentile_ranks(
         self,
@@ -2232,37 +1746,19 @@ class IndexSearcher:
         """percentile_ranks aggregation (inverse percentiles): for each
         given value, the percentage of match-set field values ≤ it.
         Exact tier = the empirical CDF (100·|v ≤ x|/n, SQL-oracleable);
-        ``method="tdigest"`` interpolates through the sketch's centroids
-        like the reference's TDigestState.cdf path."""
-        docs = self._match_union(terms)
-        if docs.size == 0:
+        ``method="tdigest"`` inverts the sketch's quantile function
+        (aggs.tdigest_percentile_ranks)."""
+        if method == "tdigest":
+            return aggs.tdigest_percentile_ranks(
+                self, terms, field, values, delta
+            )
+        vals = self._float_values(terms, field)
+        if vals.size == 0:
             return np.full(len(values), np.nan)
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
         if method == "exact":
             sv = np.sort(vals)
             c = np.searchsorted(sv, np.asarray(values, np.float64), "right")
             return 100.0 * c / sv.size
-        if method == "tdigest":
-            from ..agg.sketches import TDigest
-
-            t = TDigest(delta).add(vals)
-            # invert quantile() by bisection over q — exact enough for
-            # the sketch tier (the digest itself is the approximation)
-            out = []
-            for x in values:
-                lo, hi = 0.0, 1.0
-                for _ in range(40):
-                    mid = (lo + hi) / 2.0
-                    if t.quantile(mid) <= x:
-                        lo = mid
-                    else:
-                        hi = mid
-                out.append(100.0 * lo)
-            return np.asarray(out)
         raise ValueError(f"unknown percentile_ranks method: {method}")
 
     def search_decay(
@@ -2295,11 +1791,7 @@ class IndexSearcher:
         if cand.size == 0:
             return empty
         bm25 = self._score_candidates(cand, sterms, idfs, None)
-        v = (
-            self.field_values(cand, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
+        v = self.field_array(cand, field, np.float64)
         dist = np.maximum(np.abs(v - origin) - offset, 0.0)
         mult = np.exp((dist * dist) * (np.log(decay) / (scale * scale)))
         return topk_desc(cand, bm25 * mult, k)
@@ -2334,11 +1826,7 @@ class IndexSearcher:
         cand, scores = self._bm25_union_scores(terms, global_dfs)
         if cand.size == 0:
             return cand, scores
-        v = (
-            self.field_values(cand, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
+        v = self.field_array(cand, field, np.float64)
         if function == "saturation":
             if pivot is None or pivot <= 0:
                 raise ValueError("saturation needs pivot > 0")
@@ -2433,24 +1921,6 @@ class IndexSearcher:
             total[np.searchsorted(union, docs)] += scores
         return topk_desc(union, total, k)
 
-    def agg_rare_terms(
-        self, max_doc_count: int = 1, size: int = 10
-    ) -> tuple[list[str], np.ndarray]:
-        """rare_terms aggregation (the long-tail inverse of the terms
-        agg): dictionary terms with df ≤ ``max_doc_count``, ordered
-        (df asc, term asc), top ``size``. Evaluated against the term
-        dictionary's stored dfs — one vectorized vocabulary scan, no
-        postings decode; shard partials merge by df sum then re-cut."""
-        if max_doc_count < 1:
-            raise ValueError("max_doc_count must be >= 1")
-        sel = np.flatnonzero(self._gdf <= max_doc_count)
-        if sel.size == 0:
-            return [], np.empty(0, np.int64)
-        terms = np.asarray(self._gterms, dtype=object)[sel]
-        dfs = self._gdf[sel].astype(np.int64)
-        order = np.lexsort((terms, dfs))[:size]
-        return terms[order].tolist(), dfs[order]
-
     def search_dis_max(
         self,
         subqueries: list[list[str]],
@@ -2520,82 +1990,6 @@ class IndexSearcher:
             is_neg = neg[pos_c] == cand
             scores = np.where(is_neg, scores * negative_boost, scores)
         return topk_desc(cand, scores, k)
-
-    def facet_top_hits(
-        self,
-        terms: list[str],
-        field: str,
-        k_per_bucket: int = 3,
-        global_dfs: np.ndarray | None = None,
-    ):
-        """top_hits sub-aggregation under a terms bucket (the OpenSearch
-        terms agg + top_hits pattern): per doc-values bucket, the top
-        ``k_per_bucket`` match-set docs by (rounded BM25 desc, doc_id
-        asc). Scores are rounded half-up to 6 BEFORE ranking (cross-
-        engine tie discipline). Returns (bucket values, ranks, docs,
-        scores) flat aligned arrays, buckets in ascending value order."""
-        cand, scores = self._bm25_union_scores(terms, global_dfs)
-        if cand.size == 0:
-            return [], np.empty(0, np.int64), cand, scores
-        f = 1e6
-        scores = np.floor(scores * f + 0.5) / f  # scores are >= 0
-        vals = np.asarray(
-            self.field_values(cand, field).to_pylist(), dtype=object
-        )
-        out_v, out_r, out_d, out_s = [], [], [], []
-        for bucket in sorted(set(vals.tolist())):
-            m = vals == bucket
-            d, s = cand[m], scores[m]
-            order = np.lexsort((d, -s))[:k_per_bucket]
-            out_v += [bucket] * order.size
-            out_r += list(range(1, order.size + 1))
-            out_d.append(d[order])
-            out_s.append(s[order])
-        return (
-            out_v,
-            np.asarray(out_r, dtype=np.int64),
-            np.concatenate(out_d),
-            np.concatenate(out_s),
-        )
-
-    def suggest_term(
-        self,
-        term: str,
-        size: int = 5,
-        *,
-        max_edits: int = 2,
-        prefix_length: int = 0,
-        suggest_mode: str = "missing",
-    ) -> list[tuple[str, int, int]]:
-        """Term suggester (the OpenSearch ``suggest`` term suggester /
-        Lucene DirectSpellChecker): dictionary terms within
-        ``max_edits`` plain Levenshtein of the input, ranked by
-        (distance asc, df desc, term asc); the input term itself is
-        never suggested. ``suggest_mode="missing"`` (the default there
-        and here) suppresses suggestions when the term exists in the
-        dictionary; "popular" keeps only suggestions MORE frequent than
-        the input term (the DirectSpellChecker morePopular filter);
-        "always" always suggests. Returns [(term, freq, distance)]."""
-        if suggest_mode not in ("missing", "popular", "always"):
-            raise ValueError(
-                "suggest_mode must be 'missing', 'popular' or 'always'"
-            )
-        in_df = self.local_df(term)
-        if suggest_mode == "missing" and in_df > 0:
-            return []
-        cands = [
-            t
-            for t in self.expand_fuzzy(term, max_edits, prefix_length)
-            if t != term
-        ]
-        if suggest_mode == "popular":
-            cands = [t for t in cands if self.local_df(t) > in_df]
-        if not cands:
-            return []
-        scored = sorted(
-            (levenshtein(term, t), -self.local_df(t), t) for t in cands
-        )[:size]
-        return [(t, -negdf, d) for d, negdf, t in scored]
 
     def search_span_near(
         self,
@@ -2813,25 +2207,6 @@ class IndexSearcher:
         clauses.append(Clause("should", "prefix", (toks[-1],)))
         return self._eval_clauses(clauses, k, global_dfs=global_dfs)
 
-    def suggest_completion(
-        self, prefix: str, size: int | None = 5
-    ) -> tuple[list[str], np.ndarray]:
-        """Completion suggester over the term dictionary (the
-        corpus-backfilled completion-field shape): dictionary terms
-        carrying ``prefix``, weight = document frequency, ordered
-        (weight desc, term asc) — the FST prefix-walk analogue is a
-        binary-search slice of the sorted dictionary, never a scan.
-        Distributed twin: per-shard slices merge by df sum (the term
-        dictionary is sharded by term, so slices are disjoint)."""
-        lo = np.searchsorted(self._gterms, prefix)
-        hi = np.searchsorted(self._gterms, prefix + chr(0x10FFFF))
-        terms = np.asarray(self._gterms[lo:hi], dtype=object)
-        weights = self._gdf[lo:hi].astype(np.int64)
-        order = np.lexsort((terms, -weights))
-        if size is not None:
-            order = order[:size]
-        return [str(t) for t in terms[order]], weights[order]
-
     def suggest_completion_fuzzy(
         self,
         prefix: str,
@@ -2863,10 +2238,7 @@ class IndexSearcher:
             return terms, weights, np.zeros(len(terms), np.int64)
         plen = min(prefix_length, len(prefix))
         anchor = prefix[:plen]
-        lo = np.searchsorted(self._gterms, anchor)
-        hi = np.searchsorted(self._gterms, anchor + chr(0x10FFFF))
-        terms = np.asarray(self._gterms[lo:hi], dtype=object)
-        weights = self._gdf[lo:hi].astype(np.int64)
+        terms, weights = suggest._dict_slice(self, anchor)
         if terms.size == 0:
             return [], np.empty(0, np.int64), np.empty(0, np.int64)
         n = len(prefix)
@@ -3291,28 +2663,6 @@ class IndexSearcher:
             )
         return out
 
-    def terms_enum(
-        self, prefix: str, size: int = 10, min_df: int = 1
-    ) -> tuple[list[str], np.ndarray]:
-        """_terms_enum API (OpenSearch TermsEnum action): the index
-        terms starting with ``prefix``, term-ordered, with document
-        frequencies — a bounded binary-search slice of the sorted term
-        dictionary (expand_prefix), never a scan. The reference's API
-        caps at ``size`` and skips low-df terms via the index options;
-        both knobs mirrored here."""
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        terms = self.expand_prefix(prefix)
-        out_t, out_d = [], []
-        for t in terms:
-            df = self.local_df(t)
-            if df >= min_df:
-                out_t.append(t)
-                out_d.append(df)
-                if len(out_t) >= size:
-                    break
-        return out_t, np.asarray(out_d, dtype=np.int64)
-
     def span_or_union(self, clauses: list[str]) -> int:
         """Local union document frequency of a span_or clause set —
         shards hold disjoint doc sets, so the GLOBAL union df is the
@@ -3356,7 +2706,7 @@ class IndexSearcher:
         scores = idf * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
         return topk_desc(cand, scores, k)
 
-    # ---- boxplot / t_test / string_stats metric aggs ----------------------
+    # ---- boxplot / variable-width histogram metric aggs ------------------
     def agg_boxplot(
         self,
         terms: list[str],
@@ -3369,27 +2719,17 @@ class IndexSearcher:
         match set. ``method="exact"`` uses linear-interpolation quantiles
         (PERCENTILE_CONT / numpy "linear" — SQL-oracleable, exact);
         ``method="tdigest"`` mirrors the reference's TDigestState tier
-        whose shard partials are mergeable centroid sketches."""
-        docs = self._match_union(terms)
-        if docs.size == 0:
+        whose shard partials are mergeable centroid sketches
+        (aggs.tdigest_boxplot)."""
+        if method == "tdigest":
+            return aggs.tdigest_boxplot(self, terms, field, delta)
+        vals = self._float_values(terms, field)
+        if vals.size == 0:
             return {"min": None, "q1": None, "q2": None, "q3": None,
                     "max": None}
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        if method == "exact":
-            q1, q2, q3 = np.percentile(vals, [25, 50, 75], method="linear")
-        elif method == "tdigest":
-            from ..agg.sketches import TDigest
-
-            t = TDigest(delta).add(vals)
-            q1, q2, q3 = (
-                float(t.quantile(p)) for p in (0.25, 0.5, 0.75)
-            )
-        else:
+        if method != "exact":
             raise ValueError(f"unknown boxplot method: {method}")
+        q1, q2, q3 = np.percentile(vals, [25, 50, 75], method="linear")
         return {
             "min": float(vals.min()),
             "q1": float(q1),
@@ -3397,98 +2737,6 @@ class IndexSearcher:
             "q3": float(q3),
             "max": float(vals.max()),
         }
-
-    def _field_moments(
-        self, terms: list[str], field: str
-    ) -> tuple[int, int, int]:
-        """(n, sum, sum_sq) exact int64 moments of a numeric doc-values
-        field over the match union — the mergeable shard partial behind
-        t_test / extended_stats-style aggs."""
-        docs = self._match_union(terms)
-        if docs.size == 0:
-            return 0, 0, 0
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        return int(vals.size), int(vals.sum()), int((vals * vals).sum())
-
-    def agg_t_test(
-        self,
-        terms_a: list[str],
-        terms_b: list[str],
-        field: str,
-        mode: str = "heteroscedastic",
-    ) -> dict:
-        """t_test aggregation (OpenSearch TTestAggregator) comparing a
-        numeric field between two unpaired match populations.
-        ``heteroscedastic`` (the reference default) is Welch's t:
-        t = (m1 − m2) / sqrt(v1/n1 + v2/n2); ``homoscedastic`` pools the
-        sample variances. Populations are exact int64 moment partials
-        (n, Σv, Σv²) per side — the associative shard merge — and every
-        float op happens once at the end in a pinned order
-        (v = (Σv² − Σv·(Σv/n)) / (n−1)) so a SQL oracle replaying the
-        same expression matches to round6."""
-        n1, s1, ss1 = self._field_moments(terms_a, field)
-        n2, s2, ss2 = self._field_moments(terms_b, field)
-        if n1 < 2 or n2 < 2:
-            return {"n1": n1, "n2": n2, "t": None}
-        m1, m2 = s1 / n1, s2 / n2
-        v1 = (ss1 - s1 * (s1 / n1)) / (n1 - 1)
-        v2 = (ss2 - s2 * (s2 / n2)) / (n2 - 1)
-        if mode == "heteroscedastic":
-            denom = np.sqrt(v1 / n1 + v2 / n2)
-        elif mode == "homoscedastic":
-            sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
-            denom = np.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
-        else:
-            raise ValueError(f"unknown t_test mode: {mode}")
-        t = (m1 - m2) / denom if denom > 0 else None
-        return {"n1": n1, "n2": n2, "t": None if t is None else float(t)}
-
-    def agg_string_stats(self, terms: list[str], field: str) -> dict:
-        """string_stats aggregation (OpenSearch StringStatsAggregator):
-        count / min_length / max_length / avg_length and Shannon entropy
-        (base 2) of the character distribution across all values of a
-        keyword doc-values field in the match set. Vectorized: one
-        numpy U-dtype (UTF-32) view gives per-row codepoint lengths and
-        the flat codepoint array in O(total chars) with no per-row loop
-        (same trick as expand_fuzzy); entropy is −Σ p·log2(p) over
-        np.unique char counts (sum order differs from SQL's GROUP BY —
-        round6 absorbs, the established float-sum contract)."""
-        return finish_string_stats([self.string_stats_partial(terms, field)])
-
-    def string_stats_partial(
-        self, terms: list[str], field: str
-    ) -> tuple | None:
-        """Mergeable string_stats shard partial:
-        (count, min_len, max_len, total_len, codepoints, char_counts) —
-        count/extrema/total merge associatively, char histograms merge
-        by key; entropy is computed ONCE at the coordinator
-        (finish_string_stats) so distributed == single-node exactly."""
-        docs = self._match_union(terms)
-        if docs.size == 0:
-            return None
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-        )
-        arr = vals.astype(np.str_)
-        width = arr.dtype.itemsize // 4
-        codes = arr.view(np.uint32).reshape(arr.size, width)
-        lens = (codes != 0).sum(axis=1).astype(np.int64)
-        flat = codes.ravel()
-        flat = flat[flat != 0]
-        uniq, cnt = np.unique(flat, return_counts=True)
-        return (
-            int(arr.size),
-            int(lens.min()),
-            int(lens.max()),
-            int(lens.sum()),
-            uniq,
-            cnt.astype(np.int64),
-        )
 
     def agg_variable_width(
         self, terms: list[str], field: str, buckets: int = 4
@@ -3509,11 +2757,7 @@ class IndexSearcher:
         docs = self._match_union(terms)
         if docs.size == 0:
             return []
-        vals = (
-            self.field_values(docs, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
+        vals = self.field_array(docs, field)
         qs = [i * 100.0 / buckets for i in range(1, buckets)]
         edges = np.percentile(
             vals.astype(np.float64), qs, method="linear"
@@ -3564,11 +2808,7 @@ class IndexSearcher:
         cand, scores = self._bm25_union_scores(terms, global_dfs)
         if cand.size == 0:
             return cand, scores
-        v = (
-            self.field_values(cand, field)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
+        v = self.field_array(cand, field, np.float64)
         feat = boost * (pivot / (pivot + np.abs(v - origin)))
         return topk_desc(cand, scores + feat, k)
 

@@ -225,16 +225,6 @@ def parse_query(text: str, analyzer=None) -> Node:
 
 # --- evaluation --------------------------------------------------------------
 
-def _union(a, b):
-    """Sum-merge two sorted (docs, scores) pairs."""
-    docs = np.union1d(a[0], b[0])
-    scores = np.zeros(docs.size, np.float64)
-    for d, s in (a, b):
-        pos = np.searchsorted(docs, d)
-        scores[pos] += s
-    return docs, scores
-
-
 def _score_term(searcher, term: str, dfs: dict | None = None):
     """Per-term BM25 score vector over the term's postings (the same
     float ops as search_bm25 / explain_bm25).  ``dfs`` overrides the

@@ -1,6 +1,13 @@
-"""Phrase suggester ("did-you-mean" over multi-token input).
+"""Term-dictionary ops: terms_enum, rare_terms and the term, completion
+and phrase suggesters — each defined once for local and distributed
+execution, in the query/aggs.py shape (shard partials fanned out with
+``s._all``, global dfs from ``s._gdfs``, one merge), and bound as
+methods by both ``IndexSearcher`` and ``DistributedSearcher``. A term
+can live on only some shards, so candidate sets are the UNION of the
+shard dictionaries and frequencies are global dfs.
 
-Reference parity: the OpenSearch phrase suggester (PhraseSuggester /
+Phrase suggester ("did-you-mean" over multi-token input). Reference
+parity: the OpenSearch phrase suggester (PhraseSuggester /
 NoisyChannelSpellChecker) — candidate corrections generated per token
 from the term dictionary, whole-phrase candidates scored by a language
 model times an error model. Restated deterministically here:
@@ -27,9 +34,27 @@ import math
 
 import numpy as np
 
-from .engine import levenshtein
+from ..analysis.analyzer import tokenize
+from .aggs import _sum_by_key
 
-__all__ = ["suggest_phrase"]
+__all__ = [
+    "agg_rare_terms", "levenshtein", "suggest_completion", "suggest_phrase",
+    "suggest_term", "terms_enum",
+]
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Plain (unweighted) edit distance — the suggest/fuzzy ranking
+    metric; DuckDB's levenshtein() is oracle-exact against it."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(
+                min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
+            )
+        prev = cur
+    return prev[-1]
 
 
 def _round6(x: float) -> float:
@@ -40,8 +65,150 @@ def _round6(x: float) -> float:
     )
 
 
+# -- shard partials ----------------------------------------------------------
+
+
+def _dict_slice(s, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """(terms, local dfs) of this shard's dictionary range starting with
+    ``prefix`` — a binary-search slice of the sorted term array (the FST
+    prefix walk analogue), never a scan."""
+    lo = np.searchsorted(s._gterms, prefix)
+    hi = np.searchsorted(s._gterms, prefix + chr(0x10FFFF))
+    return s._gterms[lo:hi], s._gdf[lo:hi]
+
+
+def _rare_partial(s, max_doc_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(terms, local dfs) of this shard's terms with local df ≤
+    ``max_doc_count`` — one vectorized vocabulary scan."""
+    sel = np.flatnonzero(s._gdf <= max_doc_count)
+    return s._gterms[sel], s._gdf[sel]
+
+
+def _fuzzy_partial(
+    s, tokens: list[str], max_edits: int, prefix_length: int
+) -> list[list[str]]:
+    """Per token, this shard's dictionary terms within ``max_edits``,
+    the token itself excluded."""
+    return [
+        [t for t in s.expand_fuzzy(tok, max_edits, prefix_length) if t != tok]
+        for tok in tokens
+    ]
+
+
+def _fuzzy_candidates(
+    s, tokens: list[str], max_edits: int, prefix_length: int
+) -> list[list[str]]:
+    """Per token, the sorted union of the shard candidates (ONE fan-out
+    carries every token)."""
+    parts = s._all(_fuzzy_partial, tokens, max_edits, prefix_length)
+    return [
+        sorted({t for p in parts for t in p[i]}) for i in range(len(tokens))
+    ]
+
+
+# -- ops ---------------------------------------------------------------------
+
+
+def terms_enum(
+    s, prefix: str, size: int = 10, min_df: int = 1
+) -> tuple[list[str], np.ndarray]:
+    """_terms_enum API (OpenSearch TermsEnum action): the index terms
+    starting with ``prefix``, term-ordered, with document frequencies —
+    bounded binary-search slices of the sorted term dictionary, merged
+    by df sum (shards hold disjoint docs). The reference's API caps at
+    ``size`` and skips low-df terms via the index options; both knobs
+    mirrored here."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    terms, dfs = _sum_by_key(s._all(_dict_slice, prefix))
+    sel = np.flatnonzero(dfs >= min_df)[:size]
+    return [terms[i] for i in sel], dfs[sel]
+
+
+def suggest_completion(
+    s, prefix: str, size: int | None = 5
+) -> tuple[list[str], np.ndarray]:
+    """Completion suggester over the term dictionary (the corpus-
+    backfilled completion-field shape): dictionary terms carrying
+    ``prefix``, weight = document frequency, ordered (weight desc, term
+    asc); ``size=None`` keeps every term. Shard dictionary slices merge
+    by df sum (a term's postings are split across doc shards)."""
+    terms, weights = _sum_by_key(s._all(_dict_slice, prefix))
+    terms = np.asarray(terms, dtype=object)
+    order = np.lexsort((terms, -weights))
+    if size is not None:
+        order = order[:size]
+    return [str(t) for t in terms[order]], weights[order]
+
+
+def agg_rare_terms(
+    s, max_doc_count: int = 1, size: int = 10
+) -> tuple[list[str], np.ndarray]:
+    """rare_terms aggregation (the long-tail inverse of the terms agg):
+    dictionary terms with df ≤ ``max_doc_count``, ordered (df asc, term
+    asc), top ``size`` — evaluated against the term dictionary's stored
+    dfs, no postings decode. Exact in two phases: the union of locally
+    rare terms is a complete candidate set (a globally rare term is rare
+    on every shard that holds it), but local dfs under-count, so with
+    more than one shard the candidates' GLOBAL dfs are resolved before
+    the cut — a term rare on one shard but frequent overall drops out."""
+    if max_doc_count < 1:
+        raise ValueError("max_doc_count must be >= 1")
+    parts = s._all(_rare_partial, max_doc_count)
+    if len(parts) == 1:
+        terms, dfs = parts[0]
+    else:
+        terms = np.asarray(
+            sorted({t for p in parts for t in p[0]}), dtype=object
+        )
+        dfs = s._gdfs(terms.tolist()).astype(np.int64)
+        keep = dfs <= max_doc_count
+        terms, dfs = terms[keep], dfs[keep]
+    order = np.lexsort((terms, dfs))[:size]
+    return terms[order].tolist(), dfs[order]
+
+
+def suggest_term(
+    s,
+    term: str,
+    size: int = 5,
+    *,
+    max_edits: int = 2,
+    prefix_length: int = 0,
+    suggest_mode: str = "missing",
+) -> list[tuple[str, int, int]]:
+    """Term suggester (the OpenSearch ``suggest`` term suggester /
+    Lucene DirectSpellChecker): dictionary terms within ``max_edits``
+    plain Levenshtein of the input, ranked by (distance asc, df desc,
+    term asc); the input term itself is never suggested.
+    ``suggest_mode="missing"`` (the default there and here) suppresses
+    suggestions when the term exists in the dictionary; "popular" keeps
+    only suggestions MORE frequent than the input term (the
+    DirectSpellChecker morePopular filter); "always" always suggests.
+    Returns [(term, freq, distance)]."""
+    if suggest_mode not in ("missing", "popular", "always"):
+        raise ValueError(
+            "suggest_mode must be 'missing', 'popular' or 'always'"
+        )
+    in_df = s._gdfs([term])[0]
+    if suggest_mode == "missing" and in_df > 0:
+        return []
+    cands = _fuzzy_candidates(s, [term], max_edits, prefix_length)[0]
+    if not cands:
+        return []
+    dfs = s._gdfs(cands)
+    if suggest_mode == "popular":
+        keep = dfs > in_df
+        cands = [t for t, k in zip(cands, keep) if k]
+        dfs = dfs[keep]
+    scored = sorted(
+        (levenshtein(term, t), -int(df), t) for t, df in zip(cands, dfs)
+    )[:size]
+    return [(t, -negdf, d) for d, negdf, t in scored]
+
+
 def suggest_phrase(
-    searcher,
+    s,
     vocab: dict,
     lnp: np.ndarray,
     text: str,
@@ -54,19 +221,24 @@ def suggest_phrase(
     """Top ``size`` corrected phrases for ``text``. ``vocab``/``lnp``
     come from textstats/lm.py fit_unigram_lm (broadcast once at query
     serving). Returns [(phrase, score)], best first."""
-    from ..analysis.analyzer import tokenize
-
     if edit_penalty is None:
         edit_penalty = math.log(0.5)
     tokens = tokenize(text)
     if not tokens:
         return []
     floor = float(np.min(lnp) - math.log(2.0)) if len(lnp) else 0.0
+    # each token is its own distance-0 candidate when it is in the
+    # dictionary (df > 0)
+    cand_lists = [
+        cs + [tok]
+        for tok, cs in zip(tokens, _fuzzy_candidates(s, tokens, max_edits, 0))
+    ]
+    every = sorted({t for cs in cand_lists for t in cs})
+    df = dict(zip(every, s._gdfs(every).tolist()))
     per_tok_cands: list[list[tuple[str, float, int]]] = []
-    for tok in tokens:
-        cands = searcher.expand_fuzzy(tok, max_edits, 0)
+    for tok, cs in zip(tokens, cand_lists):
         scored = sorted(
-            (levenshtein(tok, t), -searcher.local_df(t), t) for t in cands
+            (levenshtein(tok, t), -int(df[t]), t) for t in cs if df[t] > 0
         )[:per_token]
         if not scored:
             per_tok_cands.append([(tok, floor, 0)])
@@ -84,9 +256,7 @@ def suggest_phrase(
     phrases: list[tuple[str, ...]] = [()]
     for cands in per_tok_cands:
         phrases = [p + (c[0],) for p in phrases for c in cands]
-    lookup = [
-        {c[0]: c for c in cands} for cands in per_tok_cands
-    ]
+    lookup = [{c[0]: c for c in cands} for cands in per_tok_cands]
     orig = tuple(tokens)
     out = []
     for p in phrases:

@@ -776,7 +776,7 @@ class TestPhraseSuggest:
         import itertools
         import math
 
-        from neural_search_ray.query.engine import levenshtein
+        from neural_search_ray.query.suggest import levenshtein
         from neural_search_ray.query.suggest import suggest_phrase
 
         vocab, lnp, _ = lm
