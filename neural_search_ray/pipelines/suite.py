@@ -719,7 +719,7 @@ SELECT query_id, lang, doc_count FROM (
 
 def _qs_scored_sql() -> str:
     """simple_query_string scored set mirroring engine
-    search_query_string: each query parsed with THE SAME parser
+    search_simple_query_string: each query parsed with THE SAME parser
     (query/querystring.py), then evaluated as the boolean combination
     of term (BM25, per-occurrence multiplicity), phrase (phrase-BM25)
     and prefix (constant 1.0) clauses over the token-list CTE."""
@@ -4440,13 +4440,13 @@ def q_events_auto_histogram(sf_dir: str) -> "ray.data.Dataset":
 
 def q_query_string_topk(sf_dir: str) -> pa.Table:
     """simple_query_string (query/querystring.py grammar + engine
-    search_query_string): term/phrase/prefix clauses with +/- occur
+    search_simple_query_string): term/phrase/prefix clauses with +/- occur
     flags, OR default, never-throwing parse; runs over the positional
     index (phrase clauses)."""
     searcher = get_pos_searcher(sf_dir)
     rows = []
     for qid, qs in QS_QUERY_SET:
-        docs, scores = searcher.search_query_string(qs, k=BM25_K * 3)
+        docs, scores = searcher.search_simple_query_string(qs, k=BM25_K * 3)
         rows.append((qid, docs, scores))
     out = _hits_table(rows)
     return out.filter(pc.less_equal(out["rank"], BM25_K))
@@ -5301,7 +5301,7 @@ def q_query_string_full(sf_dir: str) -> pa.Table:
 
 def q_query_string_full_distributed(sf_dir: str) -> pa.Table:
     """Classic query_string through the shard-actor serving pool
-    (query/distributed.py search_query_string): driver-side parse →
+    (query/queryparser.py search_query_string): driver-side parse →
     ONE global-df fan-out for the scored terms → shard-local Boolean
     evaluation with global stats → disjoint top-k merge. Same oracle
     as query_string_full (rank-identity through the gate)."""

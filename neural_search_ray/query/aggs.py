@@ -61,8 +61,9 @@ def _sum_by_key(parts: list) -> tuple:
 
 
 def _value_counts(s, docs: np.ndarray, field: str) -> tuple[list, np.ndarray]:
-    """(values, doc counts) of ``field`` over ``docs`` (non-empty)."""
-    vc = pc.value_counts(s.field_values(docs, field))
+    """(values, doc counts) of ``field`` over ``docs``; a doc without a
+    value forms no bucket (the terms agg without ``missing``)."""
+    vc = pc.value_counts(pc.drop_null(s.field_values(docs, field)))
     return (
         vc.field("values").to_pylist(),
         vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64),
@@ -100,11 +101,11 @@ def facet_terms(
 
 
 def _top_per_bucket(vals, docs: np.ndarray, scores: np.ndarray, k: int) -> tuple:
-    """Per bucket value (ascending, null last), the top ``k`` rows by
-    (score desc, doc_id asc): (bucket per row, 1-based rank, docs,
-    scores). ``vals`` is an Arrow array, ranked through its dictionary
-    encoding — no per-row Python work."""
-    enc = pc.dictionary_encode(vals, null_encoding="encode")
+    """Per bucket value (ascending), the top ``k`` rows by (score desc,
+    doc_id asc): (bucket per row, 1-based rank, docs, scores). ``vals``
+    is a null-free Arrow array, ranked through its dictionary encoding —
+    no per-row Python work."""
+    enc = pc.dictionary_encode(vals)
     inv = np.argsort(pc.sort_indices(enc.dictionary).to_numpy())[
         enc.indices.to_numpy(zero_copy_only=False)
     ]
@@ -117,38 +118,33 @@ def _top_per_bucket(vals, docs: np.ndarray, scores: np.ndarray, k: int) -> tuple
 
 
 def _top_hits_partial(
-    s, terms: list[str], field: str, k_per_bucket: int, global_dfs
+    s, terms: list[str], field: str, k_per_bucket: int, dfs
 ) -> tuple:
-    """This shard's per-bucket top hits (bucket, docs, rounded scores)."""
-    cand, scores = s._bm25_union_scores(terms, global_dfs)
+    """This shard's per-bucket top hits (bucket, docs, rounded scores);
+    a doc without a value forms no bucket."""
+    cand, scores = s._bm25_union_scores(terms, dfs)
     scores = np.floor(scores * 1e6 + 0.5) / 1e6  # scores are >= 0
+    vals = s.field_values(cand, field)
+    has = vals.is_valid()
+    keep = has.to_numpy(zero_copy_only=False)
     b, _, d, sc = _top_per_bucket(
-        s.field_values(cand, field), cand, scores, k_per_bucket
+        vals.filter(has), cand[keep], scores[keep], k_per_bucket
     )
     return b, d, sc
 
 
-def facet_top_hits(
-    s,
-    terms: list[str],
-    field: str,
-    k_per_bucket: int = 3,
-    global_dfs: np.ndarray | None = None,
-):
+def facet_top_hits(s, terms: list[str], field: str, k_per_bucket: int = 3):
     """top_hits sub-aggregation under a terms bucket (the OpenSearch
     terms agg + top_hits pattern): per doc-values bucket, the top
     ``k_per_bucket`` match-set docs by (rounded BM25 desc, doc_id asc).
     Scores are rounded half-up to 6 BEFORE ranking (cross-engine tie
-    discipline). ``global_dfs`` aligns with the sorted distinct terms
-    (default: ``s._gdfs``). Returns (bucket values, ranks, docs, scores)
-    flat aligned arrays, buckets in ascending value order (docs without
-    a value last, as the null bucket); shard
-    partials are per-bucket top-k lists, re-cut bucket-wise — exact,
-    because each shard's partial is complete for its docs."""
+    discipline), idf from the global dfs. Returns (bucket values, ranks,
+    docs, scores) flat aligned arrays, buckets in ascending value order;
+    a doc without a value forms no bucket. Shard partials are per-bucket
+    top-k lists, re-cut bucket-wise — exact, because each shard's
+    partial is complete for its docs."""
     sterms = sorted(set(terms))
-    if global_dfs is None:
-        global_dfs = s._gdfs(sterms)
-    parts = s._all(_top_hits_partial, sterms, field, k_per_bucket, global_dfs)
+    parts = s._all(_top_hits_partial, sterms, field, k_per_bucket, s._gdfs(sterms))
     b, r, d, sc = _top_per_bucket(
         pa.concat_arrays([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
@@ -159,30 +155,26 @@ def facet_top_hits(
 
 
 def _composite_partial(s, terms: list[str], sources: list[tuple]) -> tuple:
-    """This shard's full composite bucket map: (key tuples, counts)."""
+    """This shard's full composite bucket map: (key tuples, counts); a
+    doc without a value in some source forms no bucket (the composite
+    agg without ``missing_bucket``)."""
     docs = s._match_union(terms)
     if docs.size == 0:
         return [], np.empty(0, np.int64)
-    cols = {}
+    tbl = pa.table({
+        f"k{i}": s.field_values(docs, src[1]) for i, src in enumerate(sources)
+    }).drop_null()
     for i, src in enumerate(sources):
-        kind, field = src[0], src[1]
-        vals = s.field_values(docs, field)
-        if kind == "terms":
-            cols[f"k{i}"] = vals
-        elif kind == "histogram":
+        if src[0] == "histogram":
             interval = int(src[2])
             if interval <= 0:
                 raise ValueError("interval must be positive")
-            v = vals.to_numpy(zero_copy_only=False).astype(np.int64)
-            cols[f"k{i}"] = pa.array((v // interval) * interval)
-        else:
-            raise ValueError(f"unknown composite source: {kind}")
-    g = (
-        pa.table(cols)
-        .group_by(list(cols))
-        .aggregate([([], "count_all")])
-    )
-    keys = list(zip(*(g[c].to_pylist() for c in cols)))
+            v = tbl[i].to_numpy().astype(np.int64)
+            tbl = tbl.set_column(i, f"k{i}", pa.array((v // interval) * interval))
+        elif src[0] != "terms":
+            raise ValueError(f"unknown composite source: {src[0]}")
+    g = tbl.group_by(tbl.column_names).aggregate([([], "count_all")])
+    keys = list(zip(*(g[c].to_pylist() for c in tbl.column_names)))
     counts = g["count_all"].to_numpy(zero_copy_only=False).astype(np.int64)
     return keys, counts
 
@@ -664,7 +656,10 @@ def _string_stats_partial(s, terms: list[str], field: str) -> tuple | None:
     docs = s._match_union(terms)
     if docs.size == 0:
         return None
-    arr = s.field_array(docs, field, np.str_)
+    vals = pc.drop_null(s.field_values(docs, field))
+    if len(vals) == 0:
+        return None
+    arr = vals.to_numpy(zero_copy_only=False).astype(np.str_)
     width = arr.dtype.itemsize // 4
     codes = arr.view(np.uint32).reshape(arr.size, width)
     lens = (codes != 0).sum(axis=1).astype(np.int64)
@@ -684,7 +679,8 @@ def agg_string_stats(s, terms: list[str], field: str) -> dict:
     """string_stats aggregation (OpenSearch StringStatsAggregator):
     count / min_length / max_length / avg_length and Shannon entropy
     (base 2) of the character distribution across all values of a
-    keyword doc-values field in the match set. Vectorized: one numpy
+    keyword doc-values field in the match set (a doc without a value
+    adds nothing). Vectorized: one numpy
     U-dtype (UTF-32) view gives per-row codepoint lengths and the flat
     codepoint array in O(total chars) with no per-row loop. Partials
     merge counts/extrema/totals associatively and the per-codepoint

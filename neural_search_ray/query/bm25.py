@@ -97,12 +97,20 @@ def bm25_score_terms(
     return cand, scores
 
 
-def topk_desc(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k by (score desc, doc_id asc) — Lucene's (score, doc) ordering."""
+def topk_desc(doc_ids: np.ndarray, scores: np.ndarray, k: int):
+    """Top-k by (score desc, doc_id asc) — Lucene's (score, doc) ordering —
+    using argpartition (no full sort)."""
     n = doc_ids.size
     if n == 0:
         return doc_ids[:0], scores[:0]
     k = min(k, n)
-    # lexsort: primary -score, secondary doc_id asc
-    order = np.lexsort((doc_ids, -scores))[:k]
-    return doc_ids[order], scores[order]
+    if n > 4 * k:
+        part = np.argpartition(-scores, k - 1)[:k]
+        kth = scores[part].min()
+        # include every doc tied with the k-th score so tiebreak is exact
+        pool = np.flatnonzero(scores >= kth)
+    else:
+        pool = np.arange(n)
+    order = np.lexsort((doc_ids[pool], -scores[pool]))[:k]
+    sel = pool[order]
+    return doc_ids[sel], scores[sel]

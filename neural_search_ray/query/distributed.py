@@ -27,17 +27,18 @@ The BM25 hot path keeps dedicated methods (``stats``, ``local_dfs``,
 on the view. ``fn`` is an unbound ``IndexSearcher`` method or a
 module-level ``(searcher, ...)`` function, so it pickles by reference.
 
-Where shard ops live: the aggregation and term-dictionary ops
-(facets, metric and sketch aggs, terms_enum, rare_terms, the term /
-completion / phrase suggesters) are defined ONCE, as shard partials plus
-a merge, in query/aggs.py and query/suggest.py, and bound here and on
-``IndexSearcher`` as the same function objects; this module supplies
-their context — ``_all`` (one ``run`` per host) and ``_gdfs`` (cached
-global dfs). The scoring ops (``search_*``, ``highlight_best_window``)
-and ``significant_terms`` are written here: coordinator phases (global
-dfs, LM collection stats, expansion lists) plus ``_topk`` (concat +
-``topk_desc`` merge) over ``IndexSearcher`` methods or the few
-module-level shard ops below.
+Where shard ops live: every aggregation, term-dictionary and scoring op
+is defined ONCE — query/aggs.py and query/suggest.py (shard partials
+plus a merge), query/scoring.py and the two query-string grammars in
+query/queryparser.py / query/querystring.py (stats resolved through the
+context, one shard kernel, a merge) — and bound here and on
+``IndexSearcher`` as the same function objects. This module supplies
+their context: ``_all`` (one ``run`` per host), ``_topk`` (``_all`` plus
+the concat + ``topk_desc`` merge), and the cached global stats
+``_gdfs`` (df) and ``_gcfs`` (LM collection frequency). Only the BM25
+hot path (``search_bm25``, ``msearch_bm25``, ``warmup``), the
+multi-field ``search_multi_match`` and ``significant_terms`` are
+written here.
 
 At 256-node scale this is the serving topology: actors pinned per node
 via ``ray.remote(num_cpus=...)``, shard assignment from the manifest,
@@ -57,13 +58,12 @@ import numpy as np
 
 import ray
 
-from ..analysis.analyzer import tokenize
 from ..index.deletes import TOMBSTONE_DIR
 from ..index.manifest import MANIFEST_NAME, IndexManifest
-from . import aggs, suggest
+from . import aggs, queryparser, querystring, scoring, suggest
 from .engine import IndexSearcher, topk_desc
 from .multifield import search_multi_match
-from .queryparser import collect_query_terms, execute_query_string, parse_query
+from .scoring import _no_hits
 from .significant import combine_significant, significant_partial
 
 
@@ -267,47 +267,13 @@ class _HostView:
 # -- shard ops with shard-side logic (run on an actor via ``run``) --------
 
 
-def _local_cfs(s: IndexSearcher, terms: list[str]) -> list[int]:
-    """Per-term collection-frequency partials (Σ tf over this actor's
-    shard subset) — the LM similarities' collection-model stat, resolved
-    coordinator-side like global df."""
-    return [s.collection_freq(t) for t in terms]
-
-
 def _field_dfs(fields: list, keys: list[tuple[str, str]]) -> list[int]:
     """Local df per (field, term) key over a multi-field actor's subset."""
     by_name = {f: s for f, s, _ in fields}
     return [by_name[f].local_df(t) for f, t in keys]
 
 
-def _pinned_organic(
-    s: IndexSearcher, terms: list[str], pins: list[int], k: int,
-    global_dfs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shard-local organic BM25 top-k with the pinned ids removed (the
-    pins are re-attached coordinator-side)."""
-    cand, scores = s._bm25_union_scores(terms, global_dfs)
-    if cand.size == 0 or k <= 0:
-        return _no_hits()
-    keep = ~np.isin(cand, np.asarray(pins, dtype=np.int64))
-    return topk_desc(cand[keep], scores[keep], k)
-
-
-def _has_docs(s: IndexSearcher, ids: list[int]) -> list[bool]:
-    """Per-id existence on this actor's shard subset (pinned-query id
-    resolution)."""
-    dl_ids = s._dl_doc_ids
-    pos = np.searchsorted(dl_ids, ids)
-    return [
-        bool(p < dl_ids.size and dl_ids[p] == i) for p, i in zip(pos, ids)
-    ]
-
-
 # -- coordinator-side merges ----------------------------------------------
-
-
-def _no_hits() -> tuple[np.ndarray, np.ndarray]:
-    return np.empty(0, np.int64), np.empty(0, np.float64)
 
 
 def _merge_topk(parts: list, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,8 +366,8 @@ class DistributedSearcher(_ShardPool):
         super().__init__(
             "index", index_dir, digest, manifest.num_doc_shards, num_actors
         )
+        self.manifest = manifest
         self.n_docs = manifest.n_docs
-        self._total_tokens = float(manifest.total_tokens)
         # coordinator-side global-df cache: dfs are immutable per
         # searcher generation (the hosts' views are pinned to the index
         # generation this constructor read; a reopen is a new searcher
@@ -418,9 +384,17 @@ class DistributedSearcher(_ShardPool):
             self._gdf, lambda m: self._call("local_dfs", m), terms
         )
 
-    # aggregation and dictionary ops: the same functions IndexSearcher
-    # binds (query/aggs.py, query/suggest.py); the t-digest tier of the
-    # quantile aggs is the only tier (exact needs co-located values)
+    def _gcfs(self, terms: list[str]) -> np.ndarray:
+        """Global collection frequencies aligned to ``terms`` (Σ local
+        cf, cached)."""
+        return self._resolve(
+            self._gcf, lambda m: self._all(IndexSearcher._gcfs, m), terms
+        )
+
+    # the ops IndexSearcher binds too: aggregation and dictionary ops
+    # (query/aggs.py, query/suggest.py; the t-digest tier of the quantile
+    # aggs is the only tier, exact needs co-located values) and scoring
+    # ops (query/scoring.py and the query-string grammars)
     facet_terms = aggs.facet_terms
     facet_top_hits = aggs.facet_top_hits
     agg_composite = aggs.agg_composite
@@ -442,6 +416,30 @@ class DistributedSearcher(_ShardPool):
     suggest_term = suggest.suggest_term
     suggest_completion = suggest.suggest_completion
     suggest_phrase = suggest.suggest_phrase
+    search_phrase = scoring.search_phrase
+    search_phrase_prefix = scoring.search_phrase_prefix
+    search_bool = scoring.search_bool
+    search_terms_set = scoring.search_terms_set
+    search_synonym = scoring.search_synonym
+    search_dis_max = scoring.search_dis_max
+    search_decay = scoring.search_decay
+    search_boosting = scoring.search_boosting
+    search_rank_feature = scoring.search_rank_feature
+    search_function_score = scoring.search_function_score
+    search_distance_feature = scoring.search_distance_feature
+    search_pinned = scoring.search_pinned
+    search_lm = scoring.search_lm
+    search_span_or = scoring.search_span_or
+    search_span_within = scoring.search_span_within
+    search_span_containing = scoring.search_span_containing
+    highlight_best_window = scoring.highlight_best_window
+    search_prefix = scoring.search_prefix
+    search_wildcard = scoring.search_wildcard
+    search_regexp = scoring.search_regexp
+    search_fuzzy = scoring.search_fuzzy
+    search_query_string = queryparser.search_query_string
+    search_simple_query_string = querystring.search_simple_query_string
+    search_match_bool_prefix = querystring.search_match_bool_prefix
 
     def warmup(self, term_lists: list[list[str]]) -> None:
         """Batched cache warmup for an expected query workload — the
@@ -481,164 +479,6 @@ class DistributedSearcher(_ShardPool):
             for qi in range(len(norm_lists))
         ]
 
-    def search_query_string(self, text: str, k: int = 10):
-        """Classic query_string through the serving pool: the driver
-        parses once to collect the scored terms (term + phrase
-        children), ONE global-df fan-out resolves them, then each actor
-        evaluates the whole Boolean tree shard-locally with global
-        stats (docs live in exactly one shard, so the set algebra is
-        shard-local) and the coordinator merges disjoint-shard top-ks —
-        rank-identical to the single-process path by construction."""
-        terms = sorted(collect_query_terms(parse_query(text)))
-        dfs = dict(zip(terms, self._gdfs(terms).tolist()))
-        return self._topk(k, execute_query_string, text, k, dfs=dfs)
-
-    def search_lm(
-        self,
-        terms: list[str],
-        k: int = 10,
-        *,
-        similarity: str = "dirichlet",
-        mu: float = 2000.0,
-        lam: float = 0.5,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distributed LM similarity: phase 1 resolves the GLOBAL
-        collection model — cf(term) = Σ local cf, total_tokens from the
-        (global) manifest — exactly the global-df protocol, cached
-        coordinator-side; phase 2 fans out with the global stats and
-        merges per-shard top-k. Scores are bit-identical to the
-        single-node engine because every actor evaluates the same
-        kernel on the same global stats."""
-        sterms = sorted(set(terms))
-        cfs = self._resolve(
-            self._gcf, lambda m: self._all(_local_cfs, m), sterms
-        )
-        return self._topk(
-            k, IndexSearcher.search_lm, sterms, k, similarity=similarity,
-            mu=mu, lam=lam, global_stats=(cfs, self._total_tokens),
-        )
-
-    def search_phrase(self, terms: list[str], k: int = 10):
-        """Distributed match_phrase: phrase matching is per-doc, so each
-        shard matches locally; only idf needs the coordinator's global
-        df phase (dfs passed in GIVEN term order — search_phrase sums
-        one idf addend per occurrence)."""
-        return self._topk(
-            k, IndexSearcher.search_phrase, terms, k,
-            global_dfs=self._gdfs(terms),
-        )
-
-    def search_bool(
-        self,
-        must: list[str] | None = None,
-        should: list[str] | None = None,
-        must_not: list[str] | None = None,
-        k: int = 10,
-        *,
-        filter_terms: list[str] | None = None,
-        minimum_should_match: int | None = None,
-    ):
-        """Distributed BooleanQuery: clause membership is per-doc (shard-
-        local); global dfs align to the engine's sorted-distinct scoring
-        terms (must + should)."""
-        must = list(must or [])
-        should = list(should or [])
-        return self._topk(
-            k, IndexSearcher.search_bool, must, should, list(must_not or []),
-            k, filter_terms=list(filter_terms or []),
-            minimum_should_match=minimum_should_match,
-            global_dfs=self._gdfs(sorted(set(must) | set(should))),
-        )
-
-    def search_phrase_prefix(
-        self, terms: list[str], k: int = 10, *, max_expansions: int = 50
-    ):
-        """Distributed match_phrase_prefix. The coordinator resolves ONE
-        GLOBAL expansion list (union of per-shard dictionary ranges,
-        term order, capped) so every shard scores the same enumerated
-        term array — rank-identical to a single searcher, avoiding the
-        per-shard-expansion inconsistency ES documents for this query."""
-        if not terms:
-            return _no_hits()
-        locals_ = self._all(IndexSearcher.expand_prefix, terms[-1])
-        expansions = sorted({t for ts in locals_ for t in ts})[:max_expansions]
-        if not expansions:
-            return _no_hits()
-        return self._topk(
-            k, IndexSearcher.search_phrase_prefix, terms, k,
-            expansions=expansions,
-            global_dfs=self._gdfs(list(terms[:-1]) + expansions),
-        )
-
-    def search_distance_feature(
-        self, terms: list[str], field: str, *, k: int = 10, **kwargs
-    ):
-        """Distributed distance_feature: per-doc doc-values feature is
-        shard-local; global df broadcast keeps BM25 rank-identical."""
-        sterms = sorted(set(terms))
-        return self._topk(
-            k, IndexSearcher.search_distance_feature, sterms, field, k=k,
-            global_dfs=self._gdfs(sterms), **kwargs,
-        )
-
-    def search_span_or(self, clauses: list[str], k: int = 10):
-        """Distributed span_or: the union df is the SUM of per-shard
-        union dfs (disjoint doc sets), resolved coordinator-side like
-        global term df, then broadcast — rank-identical to one node."""
-        sterms = sorted(set(clauses))
-        gdf = float(sum(self._all(IndexSearcher.span_or_union, sterms)))
-        return self._topk(
-            k, IndexSearcher.search_span_or, sterms, k, global_df=gdf
-        )
-
-    def search_span_within(self, little: str, big: list[str], k: int = 10):
-        """Distributed span_within: single little-term global df
-        broadcast (the span_not discipline) — rank-identical."""
-        return self._topk(
-            k, IndexSearcher.search_span_within, little, big, k,
-            global_df=float(self._gdfs([little])[0]),
-        )
-
-    def search_span_containing(
-        self, little: str, big: list[str], k: int = 10
-    ):
-        """Distributed span_containing: big-phrase per-term global dfs
-        broadcast (the search_phrase discipline)."""
-        return self._topk(
-            k, IndexSearcher.search_span_containing, little, big, k,
-            global_dfs_big=self._gdfs(big),
-        )
-
-    def search_pinned(
-        self, pinned_ids: list[int], terms: list[str], k: int = 10
-    ):
-        """Distributed pinned query: pin existence resolved across the
-        shard actors (order preserved, first k), organic shard top-k
-        merged with the pins excluded — same output contract as
-        IndexSearcher.search_pinned."""
-        cand_pins = list(dict.fromkeys(int(i) for i in pinned_ids))
-        exists = self._all(_has_docs, cand_pins)
-        pins = [
-            p
-            for j, p in enumerate(cand_pins)
-            if any(e[j] for e in exists)
-        ][:k]
-        sterms = sorted(set(terms))
-        organic_docs, organic_scores = _no_hits()
-        if sterms and k > len(pins):
-            organic_docs, organic_scores = self._topk(
-                k - len(pins), _pinned_organic, sterms, pins, k - len(pins),
-                self._gdfs(sterms),
-            )
-        pin_docs = np.asarray(pins, dtype=np.int64)
-        pin_scores = IndexSearcher.PIN_SCORE_BASE - np.arange(
-            len(pins), dtype=np.float64
-        )
-        return (
-            np.concatenate([pin_docs, organic_docs]),
-            np.concatenate([pin_scores, organic_scores]),
-        )
-
     def significant_terms(
         self, terms: list[str], size: int = 10, min_doc_count: int = 1
     ):
@@ -658,168 +498,6 @@ class DistributedSearcher(_ShardPool):
             min_doc_count,
         )
 
-    def search_decay(
-        self,
-        terms: list[str],
-        field: str,
-        *,
-        origin: float,
-        scale: float,
-        decay: float = 0.5,
-        offset: float = 0.0,
-        k: int = 10,
-    ):
-        """Distributed function_score decay: the multiplier is a pure
-        per-doc doc-values function, so shard top-k merge stays exact
-        once idf uses global dfs."""
-        sterms = sorted(set(terms))
-        return self._topk(
-            k, IndexSearcher.search_decay, sterms, field, origin=origin,
-            scale=scale, decay=decay, offset=offset, k=k,
-            global_dfs=self._gdfs(sterms),
-        )
-
-    def search_dis_max(
-        self,
-        subqueries: list[list[str]],
-        k: int = 10,
-        *,
-        tie_breaker: float = 0.0,
-    ):
-        """Distributed dis_max: per-subquery global dfs resolved once,
-        per-shard full combine (max + tb·rest is per-doc, doc lives on
-        ONE shard), exact top-k merge."""
-        subs = [sorted(set(s)) for s in subqueries]
-        self._gdfs([t for s in subs for t in s])
-        return self._topk(
-            k, IndexSearcher.search_dis_max, subs, k, tie_breaker=tie_breaker,
-            global_dfs=[self._gdfs(s) for s in subs],
-        )
-
-    def search_boosting(
-        self,
-        positive: list[str],
-        negative: list[str],
-        *,
-        negative_boost: float = 0.5,
-        k: int = 10,
-    ):
-        """Distributed boosting: negative membership is shard-local (a
-        doc's negative postings live on its own shard), so only the
-        positive idf needs the coordinator phase."""
-        pos = sorted(set(positive))
-        return self._topk(
-            k, IndexSearcher.search_boosting, pos, negative,
-            negative_boost=negative_boost, k=k, global_dfs=self._gdfs(pos),
-        )
-
-    def search_rank_feature(
-        self, terms: list[str], field: str, *, k: int = 10, **kwargs
-    ):
-        """Distributed rank_feature: the feature is per-doc doc-values,
-        shard-local by construction."""
-        sterms = sorted(set(terms))
-        return self._topk(
-            k, IndexSearcher.search_rank_feature, sterms, field, k=k,
-            global_dfs=self._gdfs(sterms), **kwargs,
-        )
-
-    def search_terms_set(
-        self, terms: list[str], minimum_should_match: int = 2, k: int = 10
-    ):
-        """Distributed terms_set: per-doc distinct-match counts are
-        shard-complete (a doc's postings never span shards), so each
-        shard filters + scores with coordinator-global dfs and the
-        merge is a plain exact top-k."""
-        sterms = sorted(set(terms))
-        return self._topk(
-            k, IndexSearcher.search_terms_set, sterms, minimum_should_match,
-            k, global_dfs=self._gdfs(sterms),
-        )
-
-    def search_function_score(
-        self, terms: list[str], field: str, *, k: int = 10, **kwargs
-    ):
-        """Distributed function_score: the field_value_factor boost is
-        per-doc doc-values (shard-local); each shard multiplies its
-        FULL union before truncation, so the k-merge stays exact."""
-        sterms = sorted(set(terms))
-        return self._topk(
-            k, IndexSearcher.search_function_score, sterms, field, k=k,
-            global_dfs=self._gdfs(sterms), **kwargs,
-        )
-
-    def highlight_best_window(
-        self, terms: list[str], doc_ids: np.ndarray, window: int = 8
-    ):
-        """Distributed highlighter: a doc's positions live on exactly
-        one shard, so per-shard best windows concatenate — no merge
-        logic, no duplicate docs possible."""
-        parts = self._all(
-            IndexSearcher.highlight_best_window, terms,
-            np.asarray(doc_ids, dtype=np.int64), window=window,
-        )
-        d, w, h = (np.concatenate([p[i] for p in parts]) for i in range(3))
-        order = np.argsort(d)
-        return d[order], w[order], h[order]
-
-    def search_synonym(
-        self, groups: list[list[str]], k: int = 10
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distributed SynonymQuery: per-group blended df = max over the
-        group of GLOBAL dfs (each global df = Σ local), so idf is
-        identical on every shard; per-shard top-k merge stays exact."""
-        gsets = [sorted(set(g)) for g in groups]
-        self._gdfs([t for g in gsets for t in g])
-        return self._topk(
-            k, IndexSearcher.search_synonym, gsets, k,
-            global_dfs=[self._gdfs(g) for g in gsets],
-        )
-
-    def _search_multiterm(self, k: int, fn, /, *args, **kwargs):
-        """Constant-score multi-term queries (prefix / wildcard / fuzzy /
-        regexp): doc-membership is decided by terms IN the doc, so each
-        shard's LOCAL dictionary expansion is exact for its own docs —
-        no coordinator expansion phase needed. Merges doc ids only
-        (score is constant 1.0)."""
-        parts = self._all(fn, *args, **kwargs)
-        docs = np.sort(np.concatenate([p[0] for p in parts]))[:k]
-        return docs, np.ones(docs.size, dtype=np.float64)
-
-    def search_prefix(self, prefix: str, k: int = 10):
-        return self._search_multiterm(k, IndexSearcher.search_prefix, prefix, k)
-
-    def search_wildcard(self, pattern: str, k: int = 10):
-        return self._search_multiterm(
-            k, IndexSearcher.search_wildcard, pattern, k
-        )
-
-    def search_regexp(self, pattern: str, k: int = 10):
-        return self._search_multiterm(k, IndexSearcher.search_regexp, pattern, k)
-
-    def search_fuzzy(
-        self, term: str, k: int = 10, *, max_edits: int = 2,
-        prefix_length: int = 0,
-    ):
-        return self._search_multiterm(
-            k, IndexSearcher.search_fuzzy, term, k, max_edits=max_edits,
-            prefix_length=prefix_length,
-        )
-
-    def search_match_bool_prefix(self, text: str, k: int = 10):
-        """Distributed match_bool_prefix: ONE global-df round for the
-        term clauses (the prefix clause is constant-score and expands
-        against each shard's LOCAL dictionary — exact by doc-membership),
-        then shard-local evaluation — doc spaces are disjoint so the
-        merge is concat + top-k."""
-        toks = tokenize(text)
-        if not toks:
-            return _no_hits()
-        gdfs = dict(zip(toks[:-1], self._gdfs(toks[:-1]).tolist()))
-        return self._topk(
-            k, IndexSearcher.search_match_bool_prefix, text, k=k,
-            global_dfs=gdfs,
-        )
 
 class MultiFieldDistributedSearcher(_ShardPool):
     """Distributed multi_match: per-field global-df phase, shard-local

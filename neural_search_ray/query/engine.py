@@ -32,8 +32,8 @@ from ..config import BM25Config, QueryConfig
 from ..index.codec import decoder_for
 from ..index.manifest import DOCLEN_BUCKET, IndexManifest
 from ..state.stats import stats
-from . import aggs, suggest
-from .bm25 import bm25_idf, bm25_term_idfs
+from . import aggs, queryparser, querystring, scoring, suggest
+from .bm25 import bm25_idf, bm25_term_idfs, topk_desc
 
 
 def _binary_views(chunked) -> tuple[np.ndarray, memoryview]:
@@ -44,24 +44,6 @@ def _binary_views(chunked) -> tuple[np.ndarray, memoryview]:
         col.offset : col.offset + len(col) + 1
     ]
     return off, memoryview(col.buffers()[2])
-
-
-def topk_desc(doc_ids: np.ndarray, scores: np.ndarray, k: int):
-    """Top-k by (score desc, doc_id asc) using argpartition (no full sort)."""
-    n = doc_ids.size
-    if n == 0:
-        return doc_ids[:0], scores[:0]
-    k = min(k, n)
-    if n > 4 * k:
-        part = np.argpartition(-scores, k - 1)[:k]
-        kth = scores[part].min()
-        # include every doc tied with the k-th score so tiebreak is exact
-        pool = np.flatnonzero(scores >= kth)
-    else:
-        pool = np.arange(n)
-    order = np.lexsort((doc_ids[pool], -scores[pool]))[:k]
-    sel = pool[order]
-    return doc_ids[sel], scores[sel]
 
 
 class _LruTerms:
@@ -332,26 +314,43 @@ class IndexSearcher:
         pos = np.searchsorted(self._dl_doc_ids, doc_ids)
         return self._dl[pos]
 
-    # ---- aggregation and dictionary ops (query/aggs.py, query/suggest.py)
-    # Each is defined once and bound here and on DistributedSearcher:
-    # this searcher is the one-shard context — ``_all`` evaluates a shard
-    # partial on itself, ``_gdfs`` reads its own term dictionary, and
-    # every matched value is in-process (``_co_located``).
+    # ---- ops defined once for both searchers ------------------------------
+    # The aggregation and dictionary ops (query/aggs.py, query/suggest.py)
+    # and the scoring ops (query/scoring.py, the query-string grammars in
+    # query/queryparser.py and query/querystring.py) are bound here and on
+    # DistributedSearcher as the same functions. This searcher is their
+    # one-shard context: ``_all`` evaluates a shard partial on itself,
+    # ``_topk`` returns its shard kernel's top-k as is (no merge), the
+    # stats come from its own dictionary and postings, and every matched
+    # value is in-process (``_co_located``).
     _co_located = True
 
     def _all(self, fn, /, *args, **kwargs) -> list:
         """The shard op ``fn`` over this searcher: its one partial."""
         return [fn(self, *args, **kwargs)]
 
+    def _topk(self, k: int, fn, /, *args, **kwargs):
+        """The shard top-k kernel ``fn`` over this searcher: its one
+        partial already is the top-k."""
+        return fn(self, *args, **kwargs)
+
     def _gdfs(self, terms: list[str]) -> np.ndarray:
         """dfs aligned to ``terms`` (0 for a term not in the dictionary),
-        float64: term ids from the dictionary's hash index, then one
-        vectorized gather."""
-        ids = np.fromiter((self._gid.get(t, -1) for t in terms), np.int64,
-                          len(terms))
-        if not self._gdf.size:
-            return np.zeros(ids.size, np.float64)
-        return np.where(ids >= 0, self._gdf[ids], 0).astype(np.float64)
+        float64: one lookup per term in the dictionary's hash index (a
+        query's few terms cost less this way than through numpy calls)."""
+        gid, gdf = self._gid, self._gdf
+        return np.array(
+            [gdf[g] if (g := gid.get(t)) is not None else 0 for t in terms],
+            dtype=np.float64,
+        )
+
+    def _gcfs(self, terms: list[str]) -> np.ndarray:
+        """Collection frequencies aligned to ``terms``, float64 — the LM
+        similarities' collection-model stat (also the shard partial the
+        pool sums)."""
+        return np.asarray(
+            [self.collection_freq(t) for t in terms], dtype=np.float64
+        )
 
     facet_terms = aggs.facet_terms
     facet_top_hits = aggs.facet_top_hits
@@ -372,6 +371,31 @@ class IndexSearcher:
     suggest_term = suggest.suggest_term
     suggest_completion = suggest.suggest_completion
     suggest_phrase = suggest.suggest_phrase
+    search_phrase = scoring.search_phrase
+    search_phrase_prefix = scoring.search_phrase_prefix
+    search_bool = scoring.search_bool
+    search_terms_set = scoring.search_terms_set
+    search_synonym = scoring.search_synonym
+    search_dis_max = scoring.search_dis_max
+    search_decay = scoring.search_decay
+    search_boosting = scoring.search_boosting
+    search_rank_feature = scoring.search_rank_feature
+    search_function_score = scoring.search_function_score
+    search_distance_feature = scoring.search_distance_feature
+    search_pinned = scoring.search_pinned
+    search_lm = scoring.search_lm
+    search_span_or = scoring.search_span_or
+    search_span_within = scoring.search_span_within
+    search_span_containing = scoring.search_span_containing
+    highlight_best_window = scoring.highlight_best_window
+    search_prefix = scoring.search_prefix
+    search_wildcard = scoring.search_wildcard
+    search_regexp = scoring.search_regexp
+    search_fuzzy = scoring.search_fuzzy
+    search_query_string = queryparser.search_query_string
+    search_simple_query_string = querystring.search_simple_query_string
+    search_match_bool_prefix = querystring.search_match_bool_prefix
+    PIN_SCORE_BASE = scoring.PIN_SCORE_BASE
 
     # ---- postings access (lazy decode + LRU) -----------------------------
     def postings_full(self, term: str):
@@ -605,66 +629,6 @@ class IndexSearcher:
         stats.incr("bm25_queries")
         return self._search_dense(terms, self._idfs(terms, global_dfs), k)
 
-    def search_phrase(
-        self,
-        terms: list[str],
-        k: int = 10,
-        *,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact-adjacency phrase top-k — Lucene PhraseQuery (slop=0, the
-        match_phrase default) under BM25Similarity, which the reference's
-        hybrid query inherits for lexical sub-queries on text fields
-        (SURVEY.md §2.9; neural-search wraps arbitrary Lucene queries):
-
-        - a doc matches when the terms occur at consecutive positions;
-          tf := the number of phrase occurrences (overlapping matches
-          count, as in Lucene's ExactPhraseMatcher);
-        - idf := SUM of the per-term idfs, one addend per query-term
-          OCCURRENCE (BM25Similarity.idfExplain over the termStats
-          array), so a repeated term contributes twice;
-        - the same dl norm as term queries: score =
-          idf_sum * tf / (tf + k1*(1-b+b*dl/avgdl)).
-
-        Vectorized adjacency: term i's (doc, position-i) pairs become
-        int64 keys doc*shift + (pos-i); the phrase-start set is the k-way
-        sorted-unique intersection, one np.intersect1d per term.
-
-        ``global_dfs``: per-term (in the given order) global document
-        frequencies for shard-subset actors, as in search_bm25."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not terms:
-            return empty
-        posts = [self.postings_positions(t) for t in terms]
-        if any(p[0].size == 0 for p in posts):
-            return empty
-        if global_dfs is None:
-            dfs = np.asarray([self.local_df(t) for t in terms], dtype=np.float64)
-        else:
-            dfs = np.asarray(global_dfs, dtype=np.float64)
-        idf_sum = float(bm25_idf(np.maximum(dfs, 1e-9), self.n_docs).sum())
-        # shift > max adjusted position keeps (doc, pos) keys collision-free;
-        # docs.max()*shift stays far inside int64 for any real corpus
-        max_pos = max(int(p[2].max()) if p[2].size else 0 for p in posts)
-        shift = np.int64(max_pos + 2)
-        cur = None
-        for i, (docs, tfs, posf, _tok) in enumerate(posts):
-            keys = np.repeat(docs, tfs) * shift + (posf - i)
-            if i:
-                keys = keys[posf >= i]
-            cur = (
-                keys if cur is None
-                else np.intersect1d(cur, keys, assume_unique=True)
-            )
-            if cur.size == 0:
-                return empty
-        docs_u, freq = np.unique(cur // shift, return_counts=True)
-        dl = self.doc_length(docs_u)
-        k1, b = self.bm25.k1, self.bm25.b
-        f = freq.astype(np.float64)
-        scores = idf_sum * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs_u, scores, k)
-
     def search_ids(
         self, ids: list[int], k: int = 10
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -702,33 +666,6 @@ class IndexSearcher:
         docs = np.unique(np.concatenate(arrs)) if len(arrs) > 1 else arrs[0]
         docs = docs[:k]
         return docs, np.ones(docs.size, dtype=np.float64)
-
-    def search_prefix(
-        self, prefix: str, k: int = 10, *, max_expansions: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Constant-score prefix query (Lucene PrefixQuery semantics).
-        ``max_expansions`` mirrors the rewrite guard: raise rather than
-        silently union an unbounded term range."""
-        terms = self.expand_prefix(prefix)
-        if max_expansions is not None and len(terms) > max_expansions:
-            raise ValueError(
-                f"prefix {prefix!r} expands to {len(terms)} terms "
-                f"(> max_expansions={max_expansions})"
-            )
-        return self._constant_score_union(terms, k)
-
-    def search_wildcard(self, pattern: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
-        """Constant-score wildcard query (Lucene WildcardQuery: ``*`` any
-        run, ``?`` one char). The dictionary scan is narrowed to the
-        pattern's fixed-prefix range before the per-term regex match."""
-        import fnmatch
-        import re
-
-        fixed = re.split(r"[*?\[]", pattern, maxsplit=1)[0]
-        rx = re.compile(fnmatch.translate(pattern))
-        return self._constant_score_union(
-            [t for t in self.expand_prefix(fixed) if rx.match(t)], k
-        )
 
     def _ngram_term_map(self, n: int = 3) -> dict:
         """gram → sorted term-id array over the dictionary (built once
@@ -800,20 +737,6 @@ class IndexSearcher:
         ]
         return self._constant_score_union(terms, k)
 
-    def search_regexp(self, pattern: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
-        """Constant-score regexp query (Lucene RegexpQuery under the
-        CONSTANT_SCORE rewrite): dictionary terms FULLY matching the
-        pattern, narrowed to the pattern's leading-literal prefix range
-        before the per-term match (the FST-intersection analogue)."""
-        import re
-
-        m = re.match(r"[^.?*+(){}\[\]|\\^$]*", pattern)
-        fixed = m.group(0) if m else ""
-        rx = re.compile(pattern)
-        return self._constant_score_union(
-            [t for t in self.expand_prefix(fixed) if rx.fullmatch(t)], k
-        )
-
     def expand_fuzzy(
         self, term: str, max_edits: int = 2, prefix_length: int = 0
     ) -> list[str]:
@@ -867,273 +790,6 @@ class IndexSearcher:
             prev, cur = cur, prev
         dist = prev[np.arange(n), lens]
         return [cands[i] for i in np.flatnonzero(dist <= max_edits)]
-
-    def search_fuzzy(
-        self,
-        term: str,
-        k: int = 10,
-        *,
-        max_edits: int = 2,
-        prefix_length: int = 0,
-        max_expansions: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Constant-score fuzzy query: union of the expand_fuzzy terms'
-        postings (Lucene FuzzyQuery enumeration; constant-score rewrite
-        like search_prefix rather than Lucene's blended-freq default, so
-        scores are oracle-exact). ``max_expansions`` raises rather than
-        silently truncating."""
-        terms = self.expand_fuzzy(term, max_edits, prefix_length)
-        if max_expansions is not None and len(terms) > max_expansions:
-            raise ValueError(
-                f"fuzzy {term!r} expands to {len(terms)} terms "
-                f"(> max_expansions={max_expansions})"
-            )
-        return self._constant_score_union(terms, k)
-
-    def search_bool(
-        self,
-        must: list[str] | None = None,
-        should: list[str] | None = None,
-        must_not: list[str] | None = None,
-        k: int = 10,
-        *,
-        filter_terms: list[str] | None = None,
-        minimum_should_match: int | None = None,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean term query — Lucene BooleanQuery under BM25Similarity:
-
-        - ``must``: every term required; contributes to the score;
-        - ``filter_terms``: required, NOT scored (FILTER occur);
-        - ``should``: optional; each matching clause adds its BM25 score;
-          ``minimum_should_match`` required matches (Lucene default: 0
-          when must/filter clauses exist, else 1);
-        - ``must_not``: excludes docs; never scored.
-
-        Score = sum of matching scoring-clause BM25 scores; a term listed
-        in both must and should contributes once per clause (Lucene
-        scores each clause independently). Docs matched only by
-        filter/must_not-survival score 0.0 and tiebreak doc_id asc.
-        A query with no must/filter/should clause is rejected (pure
-        negation is unbounded, as in Lucene)."""
-        must = list(must or [])
-        should = list(should or [])
-        must_not = list(must_not or [])
-        filter_terms = list(filter_terms or [])
-        required = sorted(set(must) | set(filter_terms))
-        if not required and not should:
-            raise ValueError(
-                "bool query needs at least one must/filter/should clause"
-            )
-        msm = minimum_should_match
-        if msm is None:
-            msm = 0 if required else 1
-        if not required:
-            msm = max(msm, 1)  # should-only: at least one must match
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-
-        cand: np.ndarray | None = None
-        for t in required:
-            docs = self.postings(t)[0]
-            if docs.size == 0:
-                return empty
-            cand = (
-                docs
-                if cand is None
-                else np.intersect1d(cand, docs, assume_unique=True)
-            )
-            if cand.size == 0:
-                return empty
-        should_set = sorted(set(should))
-        if should_set and msm > 0:
-            if cand is None:
-                parts = [
-                    d for d in (self.postings(t)[0] for t in should_set)
-                    if d.size
-                ]
-                if not parts:
-                    return empty
-                u, c = np.unique(np.concatenate(parts), return_counts=True)
-                cand = u[c >= msm]
-            else:
-                cnt = np.zeros(cand.size, dtype=np.int64)
-                for t in should_set:
-                    docs = self.postings(t)[0]
-                    if docs.size == 0:
-                        continue
-                    pos = np.searchsorted(docs, cand)
-                    pos_c = np.minimum(pos, docs.size - 1)
-                    cnt += docs[pos_c] == cand
-                cand = cand[cnt >= msm]
-            if cand.size == 0:
-                return empty
-        for t in sorted(set(must_not)):
-            docs = self.postings(t)[0]
-            if docs.size == 0 or cand.size == 0:
-                continue
-            pos = np.searchsorted(docs, cand)
-            pos_c = np.minimum(pos, docs.size - 1)
-            cand = cand[docs[pos_c] != cand]
-        if cand.size == 0:
-            return empty
-        # scoring multiset: must + should, one contribution per clause
-        # occurrence (weights carry the multiplicity)
-        from collections import Counter
-
-        mult = Counter(must) + Counter(should)
-        sterms = sorted(mult)
-        if sterms:
-            weights = np.asarray([mult[t] for t in sterms], dtype=np.float64)
-            # global_dfs: per-(sorted-distinct-scoring-term) GLOBAL doc
-            # frequencies for shard-subset actors, as in search_bm25
-            idfs = self._idfs(sterms, global_dfs)
-            scores = self._score_candidates(cand, sterms, idfs, weights)
-        else:  # filter-only query: constant 0.0, doc_id-ordered
-            scores = np.zeros(cand.size, dtype=np.float64)
-        return topk_desc(cand, scores, k)
-
-    def highlight_best_window(
-        self,
-        terms: list[str],
-        doc_ids: np.ndarray,
-        window: int = 8,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positional plain highlighter — the Lucene UnifiedHighlighter
-        best-passage selection restated over the .prx-style positional
-        postings (no re-tokenization, no stored text): for each given
-        doc, the window of ``window`` consecutive token positions
-        holding the MOST query-term occurrences; ties break to the
-        smallest start. A best window always starts at a matched
-        position, so candidates = the doc's matched positions and the
-        whole batch folds into ONE searchsorted over the (doc, pos)
-        key space. Returns (doc_ids, win_start, n_hits) for every
-        requested doc with at least one matched position. Shard-safe:
-        positions are shard-local, so shard partials concatenate."""
-        sterms = sorted(set(terms))
-        want = np.unique(np.asarray(doc_ids, dtype=np.int64))
-        e = np.empty(0, np.int64)
-        if want.size == 0 or not sterms:
-            return e, e, e
-        from ..index.codec import posting_gather
-
-        d_parts, p_parts = [], []
-        for t in sterms:
-            docs, tfs, pos_flat, tok_start = self.postings_positions(t)
-            if docs.size == 0:
-                continue
-            idx = np.searchsorted(docs, want)
-            idx_c = np.minimum(idx, docs.size - 1)
-            sel = np.flatnonzero(docs[idx_c] == want)
-            rows = idx_c[sel]
-            if rows.size == 0:
-                continue
-            gp = pos_flat[posting_gather(tok_start, tfs, rows)]
-            d_parts.append(np.repeat(docs[rows], tfs[rows]))
-            p_parts.append(gp)
-        if not d_parts:
-            return e, e, e
-        d = np.concatenate(d_parts)
-        p = np.concatenate(p_parts)
-        big = np.int64(1) << np.int64(32)  # positions are int32-bounded
-        key = d * big + p
-        key.sort()
-        d_s, p_s = key // big, key % big
-        hi = np.searchsorted(key, d_s * big + p_s + window)
-        cnt = hi - np.arange(key.size)
-        order = np.lexsort((p_s, -cnt, d_s))
-        first = np.concatenate(
-            ([0], np.flatnonzero(np.diff(d_s[order]) != 0) + 1)
-        )
-        best = order[first]
-        return d_s[best], p_s[best], cnt[best]
-
-    def search_phrase_prefix(
-        self,
-        terms: list[str],
-        k: int = 10,
-        *,
-        max_expansions: int = 50,
-        expansions: list[str] | None = None,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """match_phrase_prefix — Lucene MultiPhraseQuery with the LAST
-        position expanded to the first ``max_expansions`` dictionary
-        terms (in term order) sharing the prefix, the ES/OpenSearch
-        match_phrase_prefix semantics:
-
-        - tf := phrase occurrences where positions 0..n-2 match the fixed
-          terms exactly and position n-1 matches ANY expansion;
-        - idf := sum over the whole enumerated term array (each fixed
-          term once per occurrence + each expansion term once), the
-          MultiPhraseWeight/allTermStats behavior;
-        - same dl norm as search_phrase. Requires a positional index.
-
-        ``expansions``: a coordinator-resolved expansion list overriding
-        the local dictionary walk (shard-subset actors must all score
-        the SAME capped term array — per-shard expansion is the known
-        ES match_phrase_prefix inconsistency we avoid); ``global_dfs``:
-        global doc frequencies aligned to fixed + expansions order."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not terms:
-            return empty
-        fixed, prefix = terms[:-1], terms[-1]
-        if expansions is None:
-            expansions = self.expand_prefix(prefix)[:max_expansions]
-        if not expansions:
-            return empty
-        n = len(terms)
-        posts = [self.postings_positions(t) for t in fixed]
-        if any(p[0].size == 0 for p in posts):
-            return empty
-        eposts = [self.postings_positions(t) for t in expansions]
-        if global_dfs is None:
-            dfs = np.asarray(
-                [self.local_df(t) for t in fixed + expansions],
-                dtype=np.float64,
-            )
-        else:
-            dfs = np.asarray(global_dfs, dtype=np.float64)
-        idf_sum = float(bm25_idf(np.maximum(dfs, 1e-9), self.n_docs).sum())
-        max_pos = max(
-            [int(p[2].max()) if p[2].size else 0 for p in posts + eposts]
-        )
-        shift = np.int64(max_pos + 2)
-        cur = None
-        for i, (docs, tfs, posf, _tok) in enumerate(posts):
-            keys = np.repeat(docs, tfs) * shift + (posf - i)
-            if i:
-                keys = keys[posf >= i]
-            cur = (
-                keys
-                if cur is None
-                else np.intersect1d(cur, keys, assume_unique=True)
-            )
-            if cur.size == 0:
-                return empty
-        # virtual last slot: DEDUPED union of the expansions' (doc, pos)
-        # keys (two expansions at one position are a single match slot)
-        lparts = []
-        for docs, tfs, posf, _tok in eposts:
-            if docs.size == 0:
-                continue
-            keys = np.repeat(docs, tfs) * shift + (posf - (n - 1))
-            lparts.append(keys[posf >= n - 1] if n > 1 else keys)
-        if not lparts:
-            return empty
-        last = np.unique(np.concatenate(lparts))
-        cur = (
-            last
-            if cur is None
-            else np.intersect1d(cur, last, assume_unique=True)
-        )
-        if cur.size == 0:
-            return empty
-        docs_u, freq = np.unique(cur // shift, return_counts=True)
-        dl = self.doc_length(docs_u)
-        k1, b = self.bm25.k1, self.bm25.b
-        f = freq.astype(np.float64)
-        scores = idf_sum * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs_u, scores, k)
 
     def agg_terms_stats(
         self, terms: list[str], bucket_field: str, metric_field: str
@@ -1221,7 +877,6 @@ class IndexSearcher:
         *,
         shard_size: int = 20,
         max_docs_per_value: int = 2,
-        global_dfs: np.ndarray | None = None,
     ) -> tuple[list, np.ndarray]:
         """diversified_sampler agg + nested terms agg (OpenSearch
         DiversifiedAggregator over BestDocsDeferringCollector): walk the
@@ -1234,7 +889,8 @@ class IndexSearcher:
         that way (vectorized cumcount; no Python doc loop). Scores are
         rounded to 6dp BEFORE ranking so the walk order is
         cross-engine stable."""
-        docs, scores = self._bm25_union_scores(terms, global_dfs)
+        sterms = sorted(set(terms))
+        docs, scores = self._bm25_union_scores(sterms, self._gdfs(sterms))
         if docs.size == 0:
             return [], np.empty(0, np.int64)
         f = 1e6
@@ -1280,78 +936,6 @@ class IndexSearcher:
         top = docs[sel]
         mv = self.field_array(top, metric_field)
         return top, sv[sel], mv
-
-    def search_terms_set(
-        self,
-        terms: list[str],
-        minimum_should_match: int = 2,
-        k: int = 10,
-        *,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """terms_set query (Lucene CoveringQuery — what OpenSearch
-        compiles terms_set's minimum_should_match_script to): docs
-        matching at least ``minimum_should_match`` DISTINCT query
-        terms, scored as the BM25 sum over the doc's matched terms
-        (identical to a bool should with msm). Postings doc lists are
-        unique per term, so one concatenate + unique-with-counts gives
-        the distinct-match count; candidates below msm never reach the
-        scorer. Per-doc counts are shard-complete (docs never span
-        shards), so shard-subset actors run this verbatim with
-        coordinator-supplied global dfs."""
-        sterms = sorted(set(terms))
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not sterms or minimum_should_match < 1:
-            return empty
-        posts = [self.postings(t)[0] for t in sterms]
-        posts = [d for d in posts if d.size]
-        if len(posts) < minimum_should_match:
-            return empty
-        alldocs = np.concatenate(posts) if len(posts) > 1 else posts[0]
-        docs, cnts = np.unique(alldocs, return_counts=True)
-        cand = docs[cnts >= minimum_should_match]
-        if cand.size == 0:
-            return empty
-        idfs = self._idfs(sterms, global_dfs)
-        scores = self._score_candidates(cand, sterms, idfs, None)
-        return topk_desc(cand, scores, k)
-
-    def search_function_score(
-        self,
-        terms: list[str],
-        field: str,
-        k: int = 10,
-        *,
-        factor: float = 1.0,
-        modifier: str = "ln1p",
-        weight: float = 1.0,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """function_score with field_value_factor (OpenSearch
-        FieldValueFactorFunction): final = bm25 * weight *
-        modifier(factor * field_value). The factor re-orders docs, so
-        the boost multiplies the FULL union's exact scores before any
-        truncation (top-k pruning on the raw subquery would be
-        unsound — same rule as dis_max/boosting). ``ln1p`` is computed
-        as ln(1 + x) literally (NOT numpy log1p) so a SQL oracle's
-        ln(1 + x) matches float-for-float."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        docs, scores = self._bm25_union_scores(terms, global_dfs)
-        if docs.size == 0:
-            return empty
-        v = self.field_array(docs, field, np.float64)
-        x = factor * v
-        if modifier == "ln1p":
-            boost = np.log(1.0 + x)
-        elif modifier == "ln":
-            boost = np.log(x)
-        elif modifier == "sqrt":
-            boost = np.sqrt(x)
-        elif modifier == "none":
-            boost = x
-        else:
-            raise ValueError(f"unknown field_value_factor modifier {modifier!r}")
-        return topk_desc(docs, scores * (weight * boost), k)
 
     def agg_histogram(
         self, terms: list[str], field: str, interval: int
@@ -1402,8 +986,6 @@ class IndexSearcher:
         terms: list[str],
         script,
         k: int = 10,
-        *,
-        global_dfs: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """script_score query (OpenSearch ScriptScoreQuery): wrap the
         inner term query and REPLACE each hit's score with a registered
@@ -1412,10 +994,10 @@ class IndexSearcher:
         inner ``_score``. The script reorders docs arbitrarily, so it
         runs over the FULL union's exact BM25 scores before any
         truncation (same soundness rule as function_score/dis_max)."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        docs, scores = self._bm25_union_scores(terms, global_dfs)
+        sterms = sorted(set(terms))
+        docs, scores = self._bm25_union_scores(sterms, self._gdfs(sterms))
         if docs.size == 0:
-            return empty
+            return docs, scores
         cols = {
             c: self.field_values(docs, c).to_numpy(zero_copy_only=False)
             for c in script.columns
@@ -1427,8 +1009,6 @@ class IndexSearcher:
         term: str,
         end: int,
         k: int = 10,
-        *,
-        global_df: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """span_first query (Lucene SpanFirstQuery): match only term
         occurrences whose span ends within the first ``end`` positions —
@@ -1449,12 +1029,8 @@ class IndexSearcher:
         docs, f = docs[keep], cnt[keep].astype(np.float64)
         if docs.size == 0:
             return empty
-        df = float(self.local_df(term)) if global_df is None else float(global_df)
-        idf = float(bm25_idf(np.asarray([max(df, 1e-9)]), self.n_docs)[0])
-        dl = self.doc_length(docs)
-        k1, b = self.bm25.k1, self.bm25.b
-        scores = idf * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs, scores, k)
+        idf = scoring._idf_sum(self, self._gdfs([term]))
+        return topk_desc(docs, scoring._saturate(self, docs, f, idf), k)
 
     def search_intervals(
         self,
@@ -1462,7 +1038,6 @@ class IndexSearcher:
         k: int = 10,
         *,
         max_gaps: int = 0,
-        global_dfs: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """UNORDERED n-term intervals query (Lucene intervals
         ``all_of(ordered=false)`` / UnorderedIntervalsSource under the
@@ -1497,15 +1072,7 @@ class IndexSearcher:
         posts = [self.postings_positions(t) for t in sterms]
         if any(p[0].size == 0 for p in posts):
             return empty
-        if global_dfs is None:
-            dfs = np.asarray(
-                [self.local_df(t) for t in sterms], dtype=np.float64
-            )
-        else:
-            dfs = np.asarray(global_dfs, dtype=np.float64)
-        idf_sum = float(bm25_idf(np.maximum(dfs, 1e-9), self.n_docs).sum())
-        max_pos = max(int(p[2].max()) if p[2].size else 0 for p in posts)
-        shift = np.int64(max_pos + 2)
+        shift = np.int64(scoring._max_pos(posts) + 2)
         keys = [np.repeat(p[0], p[1]) * shift + p[2] for p in posts]
         ends = np.unique(np.concatenate(keys))
         ok = np.ones(ends.size, dtype=bool)
@@ -1529,11 +1096,8 @@ class IndexSearcher:
         if hits.size == 0:
             return empty
         docs_u, freq = np.unique(hits // shift, return_counts=True)
-        dl = self.doc_length(docs_u)
-        k1, b = self.bm25.k1, self.bm25.b
-        f = freq.astype(np.float64)
-        scores = idf_sum * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs_u, scores, k)
+        idf_sum = scoring._idf_sum(self, self._gdfs(sterms))
+        return topk_desc(docs_u, scoring._saturate(self, docs_u, freq, idf_sum), k)
 
     def total_tokens(self) -> int:
         """Collection token count (Σ doc length over complete segments)
@@ -1548,82 +1112,6 @@ class IndexSearcher:
         _, tfs = self.postings(term)
         return int(tfs.sum())
 
-    def search_lm(
-        self,
-        terms: list[str],
-        k: int = 10,
-        *,
-        similarity: str = "dirichlet",
-        mu: float = 2000.0,
-        lam: float = 0.5,
-        global_stats: tuple[np.ndarray, float] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Language-model similarities (the Lucene similarity module the
-        reference inherits — LMDirichletSimilarity /
-        LMJelinekMercerSimilarity) over the SAME postings as BM25:
-
-        - dirichlet: per matching term
-          max(0, ln(1 + tf/(mu·p_c)) + ln(mu/(dl + mu))),
-          p_c = cf/total_tokens (the per-term clamp keeps scores
-          non-negative as Lucene requires; a documented deviation from
-          Lucene's unclamped sum, pinned by the SQL oracle)
-        - jelinek_mercer: per matching term
-          ln(1 + ((1-λ)·tf/dl) / (λ·p_c))
-        - dfi: divergence from independence, standardized measure
-          (DFISimilarity + IndependenceStandardized): expected
-          e = cf·dl/T; contribution 0 when tf ≤ e, else
-          log2(1 + (tf - e)/sqrt(e)) — terms occurring no more often
-          than chance score nothing
-
-        summed over the query's sorted-unique terms.
-        ``global_stats``: optional (cfs aligned to sorted-unique terms,
-        total_tokens) for shard-subset actors — cf/total are collection
-        stats, so distributed scoring needs the coordinator's globals,
-        exactly the global-df protocol."""
-        if similarity not in ("dirichlet", "jelinek_mercer", "dfi"):
-            raise ValueError(f"unknown similarity: {similarity}")
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        sterms = sorted(set(terms))
-        if not sterms:
-            return empty
-        if global_stats is None:
-            cfs = np.asarray(
-                [self.collection_freq(t) for t in sterms], dtype=np.float64
-            )
-            total = float(self.total_tokens())
-        else:
-            cfs = np.asarray(global_stats[0], dtype=np.float64)
-            total = float(global_stats[1])
-        cand = self._match_union(sterms)
-        if cand.size == 0 or total <= 0:
-            return empty
-        dl = self.doc_length(cand)
-        scores = np.zeros(cand.size, dtype=np.float64)
-        for t, cf in zip(sterms, cfs):
-            if cf <= 0:
-                continue
-            docs, tfs = self.postings(t)
-            if docs.size == 0:
-                continue
-            p_c = cf / total
-            idx = np.searchsorted(cand, docs)
-            if similarity == "dirichlet":
-                s = np.log(1.0 + tfs / (mu * p_c)) + np.log(
-                    mu / (dl[idx] + mu)
-                )
-                s = np.maximum(0.0, s)
-            elif similarity == "dfi":
-                e = cf * dl[idx] / total
-                s = np.zeros(tfs.size, dtype=np.float64)
-                m = tfs > e  # masked: the dead branch would log2(<=0)
-                s[m] = np.log2(1.0 + (tfs[m] - e[m]) / np.sqrt(e[m]))
-            else:
-                s = np.log(
-                    1.0 + ((1.0 - lam) * tfs / dl[idx]) / (lam * p_c)
-                )
-            scores[idx] += s
-        return topk_desc(cand, scores, k)
-
     def search_span_not(
         self,
         include: str,
@@ -1632,7 +1120,6 @@ class IndexSearcher:
         *,
         pre: int = 0,
         post: int = 0,
-        global_df: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """span_not query (Lucene SpanNotQuery): occurrences of
         ``include`` that have NO ``exclude`` occurrence within
@@ -1668,17 +1155,8 @@ class IndexSearcher:
         if kept.size == 0:
             return empty
         docs_u, freq = np.unique(kept // shift, return_counts=True)
-        df = (
-            float(self.local_df(include))
-            if global_df is None
-            else float(global_df)
-        )
-        idf = float(bm25_idf(np.asarray([max(df, 1e-9)]), self.n_docs)[0])
-        dl = self.doc_length(docs_u)
-        k1, b = self.bm25.k1, self.bm25.b
-        f = freq.astype(np.float64)
-        scores = idf * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs_u, scores, k)
+        idf = scoring._idf_sum(self, self._gdfs([include]))
+        return topk_desc(docs_u, scoring._saturate(self, docs_u, freq, idf), k)
 
     def _float_values(self, terms: list[str], field: str) -> np.ndarray:
         """``field`` doc-values over the boolean-OR match set, float64."""
@@ -1761,89 +1239,6 @@ class IndexSearcher:
             return 100.0 * c / sv.size
         raise ValueError(f"unknown percentile_ranks method: {method}")
 
-    def search_decay(
-        self,
-        terms: list[str],
-        field: str,
-        *,
-        origin: float,
-        scale: float,
-        decay: float = 0.5,
-        offset: float = 0.0,
-        k: int = 10,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """function_score with a gauss decay on a numeric doc-values
-        field (FunctionScoreQuery + GaussDecayFunction, multiply boost
-        mode): score = bm25 · exp(dist² · ln(decay)/scale²) with
-        dist = max(|v − origin| − offset, 0). Scores the FULL match
-        union (decay reorders, so top-k pruning on raw BM25 would be
-        unsound), then one top-k. Float-op order mirrors the SQL oracle
-        term for term."""
-        if scale <= 0 or not 0.0 < decay < 1.0:
-            raise ValueError("need scale > 0 and 0 < decay < 1")
-        sterms = sorted(set(terms))
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not sterms:
-            return empty
-        idfs = self._idfs(sterms, global_dfs)
-        cand = self._match_union(sterms)
-        if cand.size == 0:
-            return empty
-        bm25 = self._score_candidates(cand, sterms, idfs, None)
-        v = self.field_array(cand, field, np.float64)
-        dist = np.maximum(np.abs(v - origin) - offset, 0.0)
-        mult = np.exp((dist * dist) * (np.log(decay) / (scale * scale)))
-        return topk_desc(cand, bm25 * mult, k)
-
-    def search_rank_feature(
-        self,
-        terms: list[str],
-        field: str,
-        *,
-        pivot: float | None = None,
-        function: str = "saturation",
-        boost: float = 1.0,
-        scaling_factor: float = 1.0,
-        exponent: float = 1.0,
-        k: int = 10,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """rank_feature scoring clause (the OpenSearch rank_feature
-        query inside a bool should, RankFeatureQuery): adds a static
-        per-doc feature contribution to the BM25 score of every doc in
-        the text match union —
-
-        - ``saturation``: boost · v/(v + pivot)
-        - ``log``:        boost · ln(scaling_factor + v)
-        - ``sigmoid``:    boost · v^exp/(v^exp + pivot^exp)
-
-        Pinned semantics: the feature clause only BOOSTS docs already
-        matching a text clause (it never selects on its own) — the
-        recommended bool{must: match, should: rank_feature} pattern.
-        Feature values come from doc-values; float-op order mirrors the
-        SQL oracle for saturation/log (sigmoid's pow is pytest-only)."""
-        cand, scores = self._bm25_union_scores(terms, global_dfs)
-        if cand.size == 0:
-            return cand, scores
-        v = self.field_array(cand, field, np.float64)
-        if function == "saturation":
-            if pivot is None or pivot <= 0:
-                raise ValueError("saturation needs pivot > 0")
-            feat = v / (v + pivot)
-        elif function == "log":
-            if scaling_factor + v.min() <= 0:
-                raise ValueError("log needs scaling_factor + v > 0")
-            feat = np.log(scaling_factor + v)
-        elif function == "sigmoid":
-            if pivot is None or pivot <= 0 or exponent <= 0:
-                raise ValueError("sigmoid needs pivot > 0 and exponent > 0")
-            ve = np.power(v, exponent)
-            feat = ve / (ve + pivot**exponent)
-        else:
-            raise ValueError(f"unknown rank_feature function: {function}")
-        return topk_desc(cand, scores + boost * feat, k)
-
     def _bm25_union_scores(
         self, terms: list[str], global_dfs: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1860,137 +1255,6 @@ class IndexSearcher:
             return cand, np.empty(0, np.float64)
         return cand, self._score_candidates(cand, sterms, idfs, None)
 
-    def search_synonym(
-        self,
-        groups: list[list[str]],
-        k: int = 10,
-        *,
-        global_dfs: list | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lucene SynonymQuery semantics (what a synonym_graph filter
-        compiles a term to): each group of synonyms scores as ONE
-        pseudo-term — per-doc tf = Σ tf over the group's terms, df =
-        max df over the group (SynonymQuery's blended docFreq) — then
-        groups combine like independent BM25 should-clauses.
-
-        ``global_dfs``: optional list (one array per group, aligned to
-        the group's sorted-unique terms) for shard-subset actors."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        parts = []
-        for gi, group in enumerate(groups):
-            gterms = sorted(set(group))
-            if not gterms:
-                continue
-            if global_dfs is None:
-                dfs = np.asarray(
-                    [self.local_df(t) for t in gterms], dtype=np.float64
-                )
-            else:
-                dfs = np.asarray(global_dfs[gi], dtype=np.float64)
-            df_max = float(dfs.max())
-            if df_max <= 0:
-                continue
-            posts = [self.postings(t) for t in gterms]
-            posts = [p for p in posts if p[0].size]
-            if not posts:
-                continue
-            if len(posts) == 1:
-                docs, tfs = posts[0]
-            else:
-                alldocs = np.concatenate([p[0] for p in posts])
-                alltfs = np.concatenate([p[1] for p in posts])
-                docs, inv = np.unique(alldocs, return_inverse=True)
-                tfs = np.zeros(docs.size, dtype=np.float64)
-                np.add.at(tfs, inv, alltfs)
-            idf = float(bm25_idf(np.asarray([df_max]), self.n_docs)[0])
-            dl = self.doc_length(docs)
-            k1, b = self.bm25.k1, self.bm25.b
-            scores = idf * tfs / (
-                tfs + k1 * (1.0 - b + b * dl / self.avgdl)
-            )
-            parts.append((docs, scores))
-        if not parts:
-            return empty
-        union = (
-            np.unique(np.concatenate([p[0] for p in parts]))
-            if len(parts) > 1
-            else parts[0][0]
-        )
-        total = np.zeros(union.size, dtype=np.float64)
-        for docs, scores in parts:
-            total[np.searchsorted(union, docs)] += scores
-        return topk_desc(union, total, k)
-
-    def search_dis_max(
-        self,
-        subqueries: list[list[str]],
-        k: int = 10,
-        *,
-        tie_breaker: float = 0.0,
-        global_dfs: list | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lucene DisjunctionMaxQuery: per-doc score = best subquery
-        score + tie_breaker · (sum of the others). Each subquery is a
-        boolean-OR BM25 query scored over its full match union (the max
-        is taken per doc, so subquery top-k pruning would be unsound).
-
-        ``global_dfs``: optional list (one array per subquery, aligned
-        with sorted-unique subquery terms) for shard-subset actors.
-
-        Float discipline: with >2 subqueries use tie_breaker=0.0 if an
-        external system must reproduce scores bitwise — max is
-        order-independent, a 3-way float sum is not."""
-        if not 0.0 <= tie_breaker <= 1.0:
-            raise ValueError("tie_breaker must be in [0, 1]")
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        parts = [
-            self._bm25_union_scores(
-                sub, None if global_dfs is None else global_dfs[i]
-            )
-            for i, sub in enumerate(subqueries)
-        ]
-        parts = [p for p in parts if p[0].size]
-        if not parts:
-            return empty
-        union = (
-            np.unique(np.concatenate([p[0] for p in parts]))
-            if len(parts) > 1
-            else parts[0][0]
-        )
-        mat = np.zeros((len(parts), union.size), dtype=np.float64)
-        for i, (docs, scores) in enumerate(parts):
-            mat[i, np.searchsorted(union, docs)] = scores
-        mx = mat.max(axis=0)
-        total = mat.sum(axis=0)
-        return topk_desc(union, mx + tie_breaker * (total - mx), k)
-
-    def search_boosting(
-        self,
-        positive: list[str],
-        negative: list[str],
-        *,
-        negative_boost: float = 0.5,
-        k: int = 10,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Boosting query (Lucene BoostingQuery / the OpenSearch
-        ``boosting`` compound): positive BM25 scores, demoted by
-        ``negative_boost`` multiplication for docs that also match the
-        negative query — unlike must_not, demoted docs stay in the
-        result set."""
-        if not 0.0 <= negative_boost <= 1.0:
-            raise ValueError("negative_boost must be in [0, 1]")
-        cand, scores = self._bm25_union_scores(positive, global_dfs)
-        if cand.size == 0:
-            return cand, scores
-        neg = self._match_union(negative)
-        if neg.size:
-            pos_t = np.searchsorted(neg, cand)
-            pos_c = np.minimum(pos_t, neg.size - 1)
-            is_neg = neg[pos_c] == cand
-            scores = np.where(is_neg, scores * negative_boost, scores)
-        return topk_desc(cand, scores, k)
-
     def search_span_near(
         self,
         terms: list[str],
@@ -1998,7 +1262,6 @@ class IndexSearcher:
         *,
         slop: int = 0,
         in_order: bool = True,
-        global_dfs: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """In-order span-near query (Lucene SpanNearQuery(inOrder=true) /
         sloppy PhraseQuery matching): a doc matches where positions
@@ -2035,46 +1298,43 @@ class IndexSearcher:
                     "in_order=False supports exactly 2 terms; compose "
                     "2-term spans for wider unordered windows"
                 )
-            return self._span_unordered_pair(terms, k, slop, global_dfs)
+            return self._span_unordered_pair(terms, k, slop)
         n = len(terms)
         posts = [self.postings_positions(t) for t in terms]
         if any(p[0].size == 0 for p in posts):
             return empty
-        if global_dfs is None:
-            dfs = np.asarray(
-                [self.local_df(t) for t in terms], dtype=np.float64
-            )
-        else:
-            dfs = np.asarray(global_dfs, dtype=np.float64)
-        idf_sum = float(bm25_idf(np.maximum(dfs, 1e-9), self.n_docs).sum())
-        max_pos = max(int(p[2].max()) if p[2].size else 0 for p in posts)
         # window arithmetic stays inside one doc's key range
-        shift = np.int64(max_pos + n + slop + 2)
+        shift = np.int64(scoring._max_pos(posts) + n + slop + 2)
         keys = [
             np.repeat(p[0], p[1]) * shift + p[2] for p in posts
         ]  # each sorted: docs asc, positions asc within doc
-        start = keys[0]
-        cur = start
-        for i in range(1, n):
-            # greedy: earliest occurrence of term i strictly after cur
-            pos = np.searchsorted(keys[i], cur, side="right")
-            ok = pos < keys[i].size
-            nxt = keys[i][np.minimum(pos, keys[i].size - 1)]
+        idf_sum = scoring._idf_sum(self, self._gdfs(terms))
+        return self._in_order_topk(keys, shift, slop, idf_sum, k)
+
+    def _in_order_topk(
+        self, keys: list[np.ndarray], shift: np.int64, slop: int,
+        idf_sum: float, k: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Top-k of the in-order span-near chain over per-leg sorted
+        ``doc·shift + pos`` keys: each start advances with ONE
+        searchsorted per leg to the earliest next occurrence (minimal
+        end for that start); tf = starts whose chain fits the window."""
+        start = cur = keys[0]
+        for nk in keys[1:]:
+            # greedy: earliest occurrence of the next leg strictly after cur
+            pos = np.searchsorted(nk, cur, side="right")
+            ok = pos < nk.size
+            nxt = nk[np.minimum(pos, nk.size - 1)]
             # must stay in the same doc
             ok &= (nxt // shift) == (cur // shift)
             start, cur = start[ok], nxt[ok]
             if start.size == 0:
-                return empty
-        width_ok = (cur - start) <= (n - 1 + slop)
-        start = start[width_ok]
+                return scoring._no_hits()
+        start = start[(cur - start) <= (len(keys) - 1 + slop)]
         if start.size == 0:
-            return empty
+            return scoring._no_hits()
         docs_u, freq = np.unique(start // shift, return_counts=True)
-        dl = self.doc_length(docs_u)
-        k1, b = self.bm25.k1, self.bm25.b
-        f = freq.astype(np.float64)
-        scores = idf_sum * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs_u, scores, k)
+        return topk_desc(docs_u, scoring._saturate(self, docs_u, freq, idf_sum), k)
 
     def search_span_multi(
         self,
@@ -2142,70 +1402,8 @@ class IndexSearcher:
             if len(parts) > 1:
                 keys.sort()
             leg_keys.append(keys)
-        idf_sum = float(
-            bm25_idf(
-                np.maximum(np.asarray(leg_dfs, dtype=np.float64), 1e-9),
-                self.n_docs,
-            ).sum()
-        )
-        start = leg_keys[0]
-        cur = start
-        for i in range(1, n):
-            pos = np.searchsorted(leg_keys[i], cur, side="right")
-            ok = pos < leg_keys[i].size
-            nxt = leg_keys[i][np.minimum(pos, leg_keys[i].size - 1)]
-            ok &= (nxt // shift) == (cur // shift)
-            start, cur = start[ok], nxt[ok]
-            if start.size == 0:
-                return empty
-        width_ok = (cur - start) <= (n - 1 + slop)
-        start = start[width_ok]
-        if start.size == 0:
-            return empty
-        docs_u, freq = np.unique(start // shift, return_counts=True)
-        dl = self.doc_length(docs_u)
-        k1, b = self.bm25.k1, self.bm25.b
-        f = freq.astype(np.float64)
-        scores = idf_sum * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs_u, scores, k)
-
-    def search_query_string(
-        self, qs: str, k: int = 10
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """simple_query_string search (query/querystring.py grammar —
-        the Lucene SimpleQueryParser subset): parse, then evaluate as a
-        boolean combination of term / phrase / prefix clauses.
-
-        - must clauses all required, must_not excluded; with no must
-          clause at least one should clause must match (OR default);
-        - score = sum of matching SCORING clauses: BM25 for term
-          clauses (per-occurrence multiplicity), phrase-BM25 for phrase
-          clauses, constant 1.0 for prefix clauses (CONSTANT_SCORE
-          rewrite inside a bool, boost 1);
-        - only-negative or empty queries match nothing (the parser
-          never raises on user input). Phrase clauses need a positional
-          index."""
-        from .querystring import parse_query_string
-
-        return self._eval_clauses(parse_query_string(qs), k)
-
-    def search_match_bool_prefix(
-        self, text: str, k: int = 10, *, global_dfs: dict | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """match_bool_prefix (ES/OpenSearch MatchBoolPrefixQueryBuilder,
-        the search-as-you-type shape): every analyzed term becomes a
-        SHOULD term clause except the LAST, which becomes a SHOULD
-        prefix clause (constant-score rewrite) — equivalent to
-        simple_query_string ``t1 t2 last*`` with OR default."""
-        from ..analysis.analyzer import tokenize as _tok
-        from .querystring import Clause
-
-        toks = _tok(text)
-        if not toks:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        clauses = [Clause("should", "term", (t,)) for t in toks[:-1]]
-        clauses.append(Clause("should", "prefix", (toks[-1],)))
-        return self._eval_clauses(clauses, k, global_dfs=global_dfs)
+        idf_sum = scoring._idf_sum(self, leg_dfs)
+        return self._in_order_topk(leg_keys, shift, slop, idf_sum, k)
 
     def suggest_completion_fuzzy(
         self,
@@ -2281,101 +1479,11 @@ class IndexSearcher:
             best[order].astype(np.int64),
         )
 
-    def _eval_clauses(
-        self, clauses: list, k: int, *, global_dfs: dict | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        from collections import Counter
-
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-
-        def _clause_docs(c) -> np.ndarray:
-            if c.kind == "term":
-                return self.postings(c.payload[0])[0]
-            if c.kind == "phrase":
-                return self._qs_phrase(c.payload)[0]
-            terms = self.expand_prefix(c.payload[0])
-            arrs = [self.postings(t)[0] for t in terms]
-            arrs = [a for a in arrs if a.size]
-            if not arrs:
-                return np.empty(0, np.int64)
-            return np.unique(np.concatenate(arrs)) if len(arrs) > 1 else arrs[0]
-
-        must = [c for c in clauses if c.occur == "must"]
-        should = [c for c in clauses if c.occur == "should"]
-        nots = [c for c in clauses if c.occur == "must_not"]
-        if not must and not should:
-            return empty
-        cand: np.ndarray | None = None
-        for c in must:
-            docs = _clause_docs(c)
-            cand = (
-                docs
-                if cand is None
-                else np.intersect1d(cand, docs, assume_unique=True)
-            )
-            if cand.size == 0:
-                return empty
-        if cand is None:  # should-only: at least one clause must match
-            parts = [d for d in (_clause_docs(c) for c in should) if d.size]
-            if not parts:
-                return empty
-            cand = (
-                np.unique(np.concatenate(parts))
-                if len(parts) > 1
-                else parts[0]
-            )
-        for c in nots:
-            docs = _clause_docs(c)
-            if docs.size == 0 or cand.size == 0:
-                break
-            pos = np.searchsorted(docs, cand)
-            pos_c = np.minimum(pos, docs.size - 1)
-            cand = cand[docs[pos_c] != cand]
-        if cand.size == 0:
-            return empty
-        scoring = must + should
-        mult = Counter(
-            c.payload[0] for c in scoring if c.kind == "term"
-        )
-        sterms = sorted(mult)
-        if sterms:
-            weights = np.asarray([mult[t] for t in sterms], dtype=np.float64)
-            idfs = self._idfs(
-                sterms,
-                None if global_dfs is None else [global_dfs[t] for t in sterms],
-            )
-            scores = self._score_candidates(cand, sterms, idfs, weights)
-        else:
-            scores = np.zeros(cand.size, dtype=np.float64)
-        for c in scoring:
-            if c.kind == "phrase":
-                pd_, ps = self._qs_phrase(c.payload)
-            elif c.kind == "prefix":
-                pd_ = _clause_docs(c)
-                ps = np.ones(pd_.size, dtype=np.float64)
-            else:
-                continue
-            if pd_.size == 0:
-                continue
-            pos = np.searchsorted(pd_, cand)
-            pos_c = np.minimum(pos, pd_.size - 1)
-            m = pd_[pos_c] == cand
-            scores[m] += ps[pos_c[m]]
-        return topk_desc(cand, scores, k)
-
-    def _qs_phrase(self, toks) -> tuple[np.ndarray, np.ndarray]:
-        """FULL phrase result (every matching doc), docID-sorted, cached
-        per phrase for the duration of one query evaluation path."""
-        docs, scores = self.search_phrase(list(toks), k=max(self.n_docs, 1))
-        order = np.argsort(docs)
-        return docs[order], scores[order]
-
     def _span_unordered_pair(
         self,
         terms: list[str],
         k: int,
         slop: int,
-        global_dfs: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """2-term unordered span: tf = distinct positions p of EITHER
         term whose partner occurs in (p, p + slop + 1] — each unordered
@@ -2384,15 +1492,7 @@ class IndexSearcher:
         posts = [self.postings_positions(t) for t in terms]
         if any(p[0].size == 0 for p in posts):
             return empty
-        if global_dfs is None:
-            dfs = np.asarray(
-                [self.local_df(t) for t in terms], dtype=np.float64
-            )
-        else:
-            dfs = np.asarray(global_dfs, dtype=np.float64)
-        idf_sum = float(bm25_idf(np.maximum(dfs, 1e-9), self.n_docs).sum())
-        max_pos = max(int(p[2].max()) if p[2].size else 0 for p in posts)
-        shift = np.int64(max_pos + slop + 3)
+        shift = np.int64(scoring._max_pos(posts) + slop + 3)
         keys = [np.repeat(p[0], p[1]) * shift + p[2] for p in posts]
 
         def _starts(anchor: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -2408,11 +1508,8 @@ class IndexSearcher:
         if starts.size == 0:
             return empty
         docs_u, freq = np.unique(starts // shift, return_counts=True)
-        dl = self.doc_length(docs_u)
-        k1, b = self.bm25.k1, self.bm25.b
-        f = freq.astype(np.float64)
-        scores = idf_sum * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs_u, scores, k)
+        idf_sum = scoring._idf_sum(self, self._gdfs(terms))
+        return topk_desc(docs_u, scoring._saturate(self, docs_u, freq, idf_sum), k)
 
     # coverage fraction above which a term's tf-norms are cached DENSE
     # (one n-float vector): contiguous SIMD add beats the gather/scatter
@@ -2502,131 +1599,6 @@ class IndexSearcher:
             scores[pos] += token_weights[t] * tfs
         return topk_desc(cand, scores, k)
 
-    def _phrase_start_keys(
-        self, terms: list[str], shift: np.int64
-    ) -> np.ndarray | None:
-        """Sorted ``doc*shift + start`` keys of every exact-phrase
-        occurrence of ``terms`` — the k-way (doc, pos−i) intersection
-        from search_phrase, factored for the span containers."""
-        posts = [self.postings_positions(t) for t in terms]
-        if any(p[0].size == 0 for p in posts):
-            return None
-        cur = None
-        for i, (docs, tfs, posf, _tok) in enumerate(posts):
-            keys = np.repeat(docs, tfs) * shift + (posf - i)
-            if i:
-                keys = keys[posf >= i]
-            cur = (
-                keys if cur is None
-                else np.intersect1d(cur, keys, assume_unique=True)
-            )
-            if cur.size == 0:
-                return None
-        return cur
-
-    def _span_container_shift(
-        self, little: str, big: list[str]
-    ) -> np.int64:
-        """Collision-free (doc, pos) key shift covering the little term,
-        the big phrase AND the ±(L−1) containment window — window probes
-        must never bleed into a neighboring doc's key block."""
-        mx = 0
-        for t in [little] + list(big):
-            posf = self.postings_positions(t)[2]
-            if posf.size:
-                mx = max(mx, int(posf.max()))
-        return np.int64(mx + len(big) + 2)
-
-    def search_span_within(
-        self,
-        little: str,
-        big: list[str],
-        k: int = 10,
-        *,
-        global_df: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """span_within query (Lucene SpanWithinQuery): occurrences of
-        the ``little`` term that lie INSIDE an occurrence of the ``big``
-        exact phrase (big span [q, q+L−1] contains position p ⟺
-        q ∈ [p−L+1, p]); tf = qualifying little occurrences, scored as
-        single-term BM25 with the little term's stored df (the Lucene
-        upper-bound contract, as span_not). Vectorized: phrase-start
-        keys once, two searchsorted probes per little occurrence."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not big:
-            return empty
-        docs_l, tfs_l, posf_l, _ = self.postings_positions(little)
-        if docs_l.size == 0:
-            return empty
-        L = len(big)
-        shift = self._span_container_shift(little, big)
-        big_keys = self._phrase_start_keys(big, shift)
-        if big_keys is None:
-            return empty
-        keys_l = np.repeat(docs_l, tfs_l) * shift + posf_l
-        lo = np.searchsorted(big_keys, keys_l - (L - 1))
-        hi = np.searchsorted(big_keys, keys_l, side="right")
-        qual = hi > lo
-        if not qual.any():
-            return empty
-        docs_u, freq = np.unique(
-            np.repeat(docs_l, tfs_l)[qual], return_counts=True
-        )
-        df = (
-            float(self.local_df(little))
-            if global_df is None
-            else float(global_df)
-        )
-        idf = float(bm25_idf(np.asarray([max(df, 1e-9)]), self.n_docs)[0])
-        dl = self.doc_length(docs_u)
-        k1, b = self.bm25.k1, self.bm25.b
-        f = freq.astype(np.float64)
-        scores = idf * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs_u, scores, k)
-
-    def search_span_containing(
-        self,
-        little: str,
-        big: list[str],
-        k: int = 10,
-        *,
-        global_dfs_big: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """span_containing query (Lucene SpanContainingQuery):
-        occurrences of the ``big`` exact phrase that CONTAIN an
-        occurrence of the ``little`` term (∃ p ∈ [q, q+L−1] with
-        toks[p] = little); tf = qualifying phrase occurrences, scored
-        with the phrase convention (idf = Σ per-big-term idfs, same dl
-        norm — search_phrase's contract with the restricted tf)."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not big:
-            return empty
-        docs_l, tfs_l, posf_l, _ = self.postings_positions(little)
-        L = len(big)
-        shift = self._span_container_shift(little, big)
-        big_keys = self._phrase_start_keys(big, shift)
-        if big_keys is None or docs_l.size == 0:
-            return empty
-        keys_l = np.repeat(docs_l, tfs_l) * shift + posf_l
-        lo = np.searchsorted(keys_l, big_keys)
-        hi = np.searchsorted(keys_l, big_keys + (L - 1), side="right")
-        qual = hi > lo
-        if not qual.any():
-            return empty
-        docs_u, freq = np.unique(big_keys[qual] // shift, return_counts=True)
-        if global_dfs_big is None:
-            dfs = np.asarray(
-                [self.local_df(t) for t in big], dtype=np.float64
-            )
-        else:
-            dfs = np.asarray(global_dfs_big, dtype=np.float64)
-        idf_sum = float(bm25_idf(np.maximum(dfs, 1e-9), self.n_docs).sum())
-        dl = self.doc_length(docs_u)
-        k1, b = self.bm25.k1, self.bm25.b
-        f = freq.astype(np.float64)
-        scores = idf_sum * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(docs_u, scores, k)
-
     def explain_bm25(
         self, terms: list[str], doc_id: int
     ) -> list[dict]:
@@ -2662,49 +1634,6 @@ class IndexSearcher:
                 }
             )
         return out
-
-    def span_or_union(self, clauses: list[str]) -> int:
-        """Local union document frequency of a span_or clause set —
-        shards hold disjoint doc sets, so the GLOBAL union df is the
-        plain sum of these across shards (the distributed protocol)."""
-        return int(self._match_union(sorted(set(clauses))).size)
-
-    def search_span_or(
-        self,
-        clauses: list[str],
-        k: int = 10,
-        global_df: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """span_or query (Lucene SpanOrQuery): matches spans of ANY
-        clause term. Per-doc frequency is the TOTAL span count
-        (Σ clause tfs — the union of per-term span enumerations), and
-        the query scores as ONE pseudo-term: idf of the UNION document
-        frequency × BM25 tf-norm of the combined frequency (SpanWeight
-        builds a single Similarity.SimScorer over the merged stats).
-        All doc-level — no position decode needed, the span union's
-        per-doc cardinality is exactly the tf sum."""
-        sterms = sorted(set(clauses))
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not sterms:
-            return empty
-        plists = [self.postings(t) for t in sterms]
-        nonempty = [(d, f) for d, f in plists if d.size]
-        if not nonempty:
-            return empty
-        cand = (
-            np.unique(np.concatenate([d for d, _ in nonempty]))
-            if len(nonempty) > 1
-            else nonempty[0][0]
-        )
-        f = np.zeros(cand.size, dtype=np.float64)
-        for docs, tfs in nonempty:
-            f[np.searchsorted(cand, docs)] += tfs
-        df = float(cand.size) if global_df is None else float(global_df)
-        idf = float(bm25_idf(np.asarray([max(df, 1e-9)]), self.n_docs)[0])
-        dl = self.doc_length(cand)
-        k1, b = self.bm25.k1, self.bm25.b
-        scores = idf * f / (f + k1 * (1.0 - b + b * dl / self.avgdl))
-        return topk_desc(cand, scores, k)
 
     # ---- boxplot / variable-width histogram metric aggs ------------------
     def agg_boxplot(
@@ -2783,81 +1712,6 @@ class IndexSearcher:
                 }
             )
         return out
-
-    # ---- distance_feature / pinned queries --------------------------------
-    def search_distance_feature(
-        self,
-        terms: list[str],
-        field: str,
-        *,
-        origin: float,
-        pivot: float,
-        boost: float = 1.0,
-        k: int = 10,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """distance_feature query (OpenSearch DistanceFeatureQueryBuilder
-        over Lucene LongField.newDistanceFeatureQuery) composed the
-        recommended way — bool{must: match, should: distance_feature} —
-        so the final score is BM25 + boost · pivot/(pivot + |v − origin|)
-        over the full text match union (additive reorder ⇒ top-k pruning
-        on raw BM25 would be unsound, same contract as rank_feature).
-        Float-op order pinned for the SQL oracle."""
-        if pivot <= 0:
-            raise ValueError("distance_feature needs pivot > 0")
-        cand, scores = self._bm25_union_scores(terms, global_dfs)
-        if cand.size == 0:
-            return cand, scores
-        v = self.field_array(cand, field, np.float64)
-        feat = boost * (pivot / (pivot + np.abs(v - origin)))
-        return topk_desc(cand, scores + feat, k)
-
-    #: pinned-hit synthetic score base — far above any organic BM25 score,
-    #: mirroring PinnedQueryBuilder's MAX_ORGANIC_SCORE pinning contract.
-    #: 1e9 keeps PIN_SCORE_BASE − i exactly representable in float64
-    #: (ulp spacing < 1), so the SQL oracle's replay is bit-identical.
-    PIN_SCORE_BASE = 1.0e9
-
-    def search_pinned(
-        self,
-        pinned_ids: list[int],
-        terms: list[str],
-        k: int = 10,
-        global_dfs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """pinned query (OpenSearch PinnedQueryBuilder): the given doc
-        ids rank first IN THE ORDER GIVEN (synthetic descending scores
-        above every organic score), then organic BM25 matches follow
-        with the pinned ids removed. Pinned ids missing from the index
-        are skipped (the reference's IDs-query semantics)."""
-        seen: set[int] = set()
-        pins: list[int] = []
-        for i in pinned_ids:
-            i = int(i)
-            if i in seen:
-                continue
-            seen.add(i)
-            pos = np.searchsorted(self._dl_doc_ids, i)
-            if pos < self._dl_doc_ids.size and self._dl_doc_ids[pos] == i:
-                pins.append(i)
-        pins = pins[:k]
-        cand, scores = self._bm25_union_scores(terms, global_dfs)
-        if cand.size and k > len(pins):
-            keep = ~np.isin(cand, np.asarray(pins, dtype=np.int64))
-            organic_docs, organic_scores = topk_desc(
-                cand[keep], scores[keep], k - len(pins)
-            )
-        else:
-            organic_docs = np.empty(0, np.int64)
-            organic_scores = np.empty(0, np.float64)
-        pin_docs = np.asarray(pins, dtype=np.int64)
-        pin_scores = self.PIN_SCORE_BASE - np.arange(
-            len(pins), dtype=np.float64
-        )
-        return (
-            np.concatenate([pin_docs, organic_docs]),
-            np.concatenate([pin_scores, organic_scores]),
-        )
 
 
 class SearchStage:

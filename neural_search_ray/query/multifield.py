@@ -278,7 +278,7 @@ def search_as_you_type(
     """
     from ..analysis.analyzer import tokenize
     from ..stages.shingles import shingle_tokens
-    from .querystring import Clause
+    from .querystring import Clause, _search_clauses
 
     empty = (np.empty(0, np.int64), np.empty(0, np.float64))
     toks = tokenize(text)
@@ -291,7 +291,7 @@ def search_as_you_type(
             continue
         clauses = [Clause("should", "term", (t,)) for t in sh[:-1]]
         clauses.append(Clause("should", "prefix", (sh[-1],)))
-        docs, scores = s._eval_clauses(clauses, k=max(s.n_docs, 1))
+        docs, scores = _search_clauses(s, clauses, max(s.n_docs, 1))
         if docs.size:
             parts.append((docs, scores))
     if not parts:

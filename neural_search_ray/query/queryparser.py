@@ -39,7 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["parse_query", "execute_query_string", "collect_query_terms", "QueryStringError"]
+from .bm25 import bm25_idf, topk_desc
+from .scoring import _phrase_topk
+
+__all__ = [
+    "parse_query", "search_query_string", "execute_query_string",
+    "collect_query_terms", "QueryStringError",
+]
 
 
 class QueryStringError(ValueError):
@@ -225,19 +231,16 @@ def parse_query(text: str, analyzer=None) -> Node:
 
 # --- evaluation --------------------------------------------------------------
 
-def _score_term(searcher, term: str, dfs: dict | None = None):
+def _score_term(searcher, term: str, dfs: dict):
     """Per-term BM25 score vector over the term's postings (the same
-    float ops as search_bm25 / explain_bm25).  ``dfs`` overrides the
-    document frequency with a coordinator-resolved GLOBAL value (the
-    distributed serving path; n_docs/avgdl already come from the
-    manifest, i.e. are global on every shard searcher)."""
-    from .bm25 import bm25_idf
-
+    float ops as search_bm25 / explain_bm25), idf from the resolved
+    global df (n_docs/avgdl come from the manifest, so they are global
+    on every shard searcher)."""
     docs, tfs = searcher.postings(term)
     if docs.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.float64)
-    df = dfs[term] if dfs and term in dfs else searcher.local_df(term)
-    idf = float(bm25_idf(np.asarray([max(float(df), 1e-9)]), searcher.n_docs)[0])
+    df = max(float(dfs[term]), 1e-9)
+    idf = float(bm25_idf(np.asarray([df]), searcher.n_docs)[0])
     dl = searcher.doc_length(docs).astype(np.float64)
     k1, b = searcher.bm25.k1, searcher.bm25.b
     tf = tfs.astype(np.float64)
@@ -258,18 +261,13 @@ def collect_query_terms(node: Node, out: set | None = None) -> set:
     return out
 
 
-def _eval(node: Node, searcher, dfs: dict | None = None):
+def _eval(node: Node, searcher, dfs: dict):
     if node.kind == "term":
         return _score_term(searcher, node.payload, dfs)
     if node.kind == "phrase":
-        gdfs = (
-            np.asarray([
-                dfs.get(t, searcher.local_df(t)) for t in node.payload
-            ], dtype=np.float64)
-            if dfs else None
-        )
-        docs, scores = searcher.search_phrase(
-            list(node.payload), k=searcher.n_docs, global_dfs=gdfs
+        docs, scores = _phrase_topk(
+            searcher, list(node.payload), searcher.n_docs,
+            [dfs[t] for t in node.payload],
         )
         order = np.argsort(docs, kind="stable")
         return docs[order], scores[order]
@@ -327,19 +325,28 @@ def _eval(node: Node, searcher, dfs: dict | None = None):
     raise QueryStringError(f"bad node {node.kind}")
 
 
-def execute_query_string(
-    searcher, text: str, k: int | None = 10, *, dfs: dict | None = None
-):
-    """Parse + evaluate, return top-k (docs, scores) with the engine's
-    (score desc, doc asc) ordering; ``k=None`` returns every match.
-    ``dfs`` carries coordinator-resolved global document frequencies
-    for the distributed serving path."""
-    from .engine import topk_desc
+def _query_string_topk(searcher, node: Node, k: int, dfs: dict):
+    docs, scores = _eval(node, searcher, dfs)
+    return topk_desc(docs, scores, k)
 
+
+def search_query_string(s, text: str, k: int | None = 10):
+    """Classic query_string search: parse ONCE, resolve the global dfs
+    of the scored terms (term + phrase children) in one round, then
+    evaluate the whole Boolean tree on each shard with them (docs live
+    in exactly one shard, so the set algebra is shard-local) and merge
+    the shard top-ks with the engine's (score desc, doc asc) ordering.
+    ``k=None`` returns every match."""
     node = parse_query(text)
     if node.occur == "must_not":
         raise QueryStringError("pure-negative query")
     if node.kind != "group":
         node = Node("group", [node])
-    docs, scores = _eval(node, searcher, dfs)
-    return topk_desc(docs, scores, docs.size if k is None else k)
+    terms = sorted(collect_query_terms(node))
+    dfs = dict(zip(terms, s._gdfs(terms).tolist()))
+    k = s.n_docs if k is None else k  # n_docs bounds every match set
+    return s._topk(k, _query_string_topk, node, k, dfs)
+
+
+# the functional spelling: execute_query_string(searcher, text, k)
+execute_query_string = search_query_string

@@ -146,7 +146,7 @@ def test_match_bool_prefix_equals_query_string(mf):
         d1, s1 = s.search_match_bool_prefix(q, k=10)
         toks = q.split()
         qs = " ".join(toks[:-1] + [toks[-1] + "*"])
-        d2, s2 = s.search_query_string(qs, k=10)
+        d2, s2 = s.search_simple_query_string(qs, k=10)
         assert d1.tolist() == d2.tolist(), q
         assert np.allclose(s1, s2, atol=1e-12), q
 

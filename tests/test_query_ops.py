@@ -657,15 +657,15 @@ class TestQueryString:
         ],
     )
     def test_matches_bruteforce(self, searcher, corpus, qs):
-        docs, scores = searcher.search_query_string(qs, k=20)
+        docs, scores = searcher.search_simple_query_string(qs, k=20)
         rd, rs = self._ref(searcher, corpus, qs)
         assert docs.tolist() == rd[:20], qs
         np.testing.assert_allclose(scores, rs[: docs.size], rtol=1e-10)
 
     def test_only_negative_matches_nothing(self, searcher):
-        d, _ = searcher.search_query_string("-data", k=5)
+        d, _ = searcher.search_simple_query_string("-data", k=5)
         assert d.size == 0
-        d, _ = searcher.search_query_string("", k=5)
+        d, _ = searcher.search_simple_query_string("", k=5)
         assert d.size == 0
 
 

@@ -113,8 +113,10 @@ class TestExecute:
         docs, scores = execute_query_string(
             qp_searcher, "data AND query", k=None
         )
-        sd = dict(zip(*[x.tolist() for x in _score_term(qp_searcher, "data")]))
-        sq = dict(zip(*[x.tolist() for x in _score_term(qp_searcher, "query")]))
+        dfs = dict(zip(["data", "query"],
+                       qp_searcher._gdfs(["data", "query"]).tolist()))
+        sd = dict(zip(*[x.tolist() for x in _score_term(qp_searcher, "data", dfs)]))
+        sq = dict(zip(*[x.tolist() for x in _score_term(qp_searcher, "query", dfs)]))
         for d, s in zip(docs.tolist(), scores.tolist()):
             assert abs(s - (sd[d] + sq[d])) < 1e-12
 
