@@ -98,13 +98,13 @@ class DocValues:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(ids, kind="stable")
         self.doc_ids = ids[order]
-        self.table = t.take(pa.array(order))
+        self.table = t.take(pa.array(order)).combine_chunks()
         self._accepted_cache: dict[tuple, np.ndarray] = {}
 
     def lookup(self, doc_ids: np.ndarray, column: str) -> pa.Array:
         """Field values for the given doc_ids (must exist in the shards)."""
         pos = np.searchsorted(self.doc_ids, np.asarray(doc_ids, dtype=np.int64))
-        return self.table[column].take(pa.array(pos)).combine_chunks()
+        return self.table[column].chunk(0).take(pa.array(pos))
 
     def accepted(self, column: str, op: str, value) -> np.ndarray:
         """Sorted doc_ids matching the predicate (engine-side filter

@@ -20,6 +20,12 @@ partial already is the answer (key-summed maps, one exact value set)
 it passes through untouched, so a single searcher keeps its speed. The
 dictionary-walking ops (terms_enum, rare_terms and the suggesters) live
 in query/suggest.py.
+
+Null rule (OpenSearch's default, no ``missing`` bucket): a matched doc
+without a value in a field forms no bucket, adds to no metric and is not
+sampled (``_present``). Two aggs are bound on ``IndexSearcher`` only:
+agg_diversified_sampler (per-shard ``shard_size``) and
+agg_variable_width (global quantile edges).
 """
 
 from __future__ import annotations
@@ -55,6 +61,42 @@ def _sum_by_key(parts: list) -> tuple:
     acc = _key_sum(zip(keys, c.tolist()) for keys, c in parts)
     keys = sorted(acc)
     return keys, np.asarray([acc[k] for k in keys], dtype=np.int64)
+
+
+def _present(s, docs: np.ndarray, field: str, dtype=np.int64) -> tuple:
+    """(docs, values) of ``field`` over ``docs``, the docs without a
+    value dropped: such a doc forms no bucket, adds to no metric and is
+    not sampled. ``"_dl"`` is the BM25 doc length."""
+    if docs.size == 0:
+        return docs, np.empty(0, dtype)
+    if field == "_dl":
+        return docs, s.doc_length(docs).astype(dtype)
+    vals = s.field_values(docs, field)
+    if vals.null_count:
+        has = vals.is_valid()
+        docs, vals = docs[has.to_numpy(zero_copy_only=False)], vals.filter(has)
+    return docs, vals.to_numpy(zero_copy_only=False).astype(dtype)
+
+
+def _present_pair(s, docs: np.ndarray, field_x: str, field_y: str) -> tuple:
+    """(docs, x, y) over the ``docs`` that have both values."""
+    docs, x = _present(s, docs, field_x)
+    both, y = _present(s, docs, field_y)
+    if both.size < docs.size:
+        x = x[np.isin(docs, both, assume_unique=True)]
+    return both, x, y
+
+
+def _in_sorted(have: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """Mask of the ``docs`` found in the sorted array ``have``."""
+    if have.size == 0:
+        return np.zeros(docs.size, dtype=bool)
+    return have.take(np.searchsorted(have, docs), mode="clip") == docs
+
+
+def _held(s, docs: np.ndarray) -> np.ndarray:
+    """The docs of a global doc set (say, a top-k) that this shard holds."""
+    return docs[_in_sorted(s._dl_doc_ids, docs)]
 
 
 # -- terms buckets -----------------------------------------------------------
@@ -157,10 +199,18 @@ def facet_top_hits(s, terms: list[str], field: str, k_per_bucket: int = 3):
 def _composite_partial(s, terms: list[str], sources: list[tuple]) -> tuple:
     """This shard's full composite bucket map: (key tuples, counts); a
     doc without a value in some source forms no bucket (the composite
-    agg without ``missing_bucket``)."""
+    agg without ``missing_bucket``). A lone histogram source (the
+    histogram agg) is a sorted value count."""
     docs = s._match_union(terms)
     if docs.size == 0:
         return [], np.empty(0, np.int64)
+    if len(sources) == 1 and sources[0][0] == "histogram":
+        interval = int(sources[0][2])
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        v = _present(s, docs, sources[0][1])[1]
+        u, n = np.unique((v // interval) * interval, return_counts=True)
+        return list(zip(u.tolist())), n.astype(np.int64)
     tbl = pa.table({
         f"k{i}": s.field_values(docs, src[1]) for i, src in enumerate(sources)
     }).drop_null()
@@ -205,16 +255,110 @@ def agg_composite(
     return [keys[i] for i in order], counts[order]
 
 
+def agg_multi_terms(
+    s, terms: list[str], fields: list[str], size: int | None = 10
+) -> tuple[list[tuple], np.ndarray]:
+    """multi_terms aggregation (OpenSearch multi_terms agg):
+    composite buckets over 2+ doc-values fields with doc counts,
+    ordered (count desc, key tuple asc), keys returned as tuples of
+    strings — the composite agg's partial over the field tuple,
+    re-ordered by count. Shard partials are full
+    maps bounded by the PRODUCT of field cardinalities (the agg's
+    documented cost), merged by bucket-key sum."""
+    if len(fields) < 2:
+        raise ValueError("multi_terms needs >= 2 fields")
+    keys, counts = _sum_by_key(
+        s._all(_composite_partial, terms, [("terms", f) for f in fields])
+    )
+    cols = [np.asarray(c, dtype=object) for c in zip(*keys)]
+    order = np.lexsort((*reversed(cols), -counts))[:size]
+    return [tuple(str(c[i]) for c in cols) for i in order], counts[order]
+
+
+def agg_histogram(
+    s, terms: list[str], field: str, interval: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram aggregation (OpenSearch histogram agg) over the
+    boolean-OR match set: fixed-interval buckets
+    (floor(value/interval)*interval), (bucket asc, count) — the
+    composite agg with one histogram source, so shard partials merge by
+    bucket-key sum (keys sorted either way) and a doc without a value
+    forms no bucket."""
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    keys, counts = _sum_by_key(
+        s._all(_composite_partial, terms, [("histogram", field, interval)])
+    )
+    return np.array(keys, dtype=np.int64).reshape(-1), counts
+
+
+def _stats_by_key(keys: np.ndarray, counts, lo, hi, total) -> tuple:
+    """(distinct keys, count, min, max, sum) of per-row stats grouped by
+    key: a shard's rows are its docs (count 1, min = max = sum = the
+    value), the merge's rows are the shards' buckets."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    mins = np.full(uniq.size, np.iinfo(np.int64).max, dtype=np.int64)
+    maxs = np.full(uniq.size, np.iinfo(np.int64).min, dtype=np.int64)
+    np.minimum.at(mins, inv, lo)
+    np.maximum.at(maxs, inv, hi)
+    counts, total = (np.bincount(inv, weights=x, minlength=uniq.size)
+                     .astype(np.int64) for x in (counts, total))
+    return uniq, counts, mins, maxs, total
+
+
+def _terms_stats_partial(
+    s, terms: list[str], bucket_field: str, metric_field: str
+) -> tuple:
+    """(bucket keys, count, min, max, sum) over this shard's match set;
+    a doc without a bucket value or a metric value adds nothing."""
+    docs, vals = _present(s, s._match_union(terms), metric_field)
+    keys = s.field_values(docs, bucket_field) if docs.size else pa.array([])
+    if keys.null_count:
+        has = keys.is_valid()
+        keys, vals = keys.filter(has), vals[has.to_numpy(zero_copy_only=False)]
+    keys = np.asarray(keys.to_pylist(), dtype=object)
+    return _stats_by_key(keys, np.ones(vals.size), vals, vals, vals)
+
+
+def agg_terms_stats(
+    s, terms: list[str], bucket_field: str, metric_field: str
+) -> list[dict]:
+    """terms bucket agg with a stats SUB-aggregation (the standard
+    OpenSearch bucket+metric composition: terms { stats }): one row
+    per bucket value over the boolean-OR match set, carrying count /
+    min / max / sum / avg of the metric field; a doc without a bucket
+    or a metric value adds nothing. Shard partials are (bucket, count,
+    min, max, sum) arrays merged by key — the agg_stats distributive
+    shape. Buckets ordered by (count desc, key asc), the terms-agg
+    default."""
+    parts = s._all(_terms_stats_partial, sorted(set(terms)), bucket_field,
+                   metric_field)
+    uniq, counts, mins, maxs, sums = _stats_by_key(
+        *(np.concatenate([p[i] for p in parts]) for i in range(5))
+    )
+    return [
+        {
+            "key": uniq[i],
+            "doc_count": int(counts[i]),
+            "min": int(mins[i]),
+            "max": int(maxs[i]),
+            "sum": int(sums[i]),
+            "avg": int(sums[i]) / int(counts[i]),
+        }
+        for i in np.lexsort((uniq, -counts))
+    ]
+
+
 # -- numeric metric aggs -----------------------------------------------------
 
 
 def _moments(s, docs: np.ndarray, field: str) -> tuple | None:
     """(n, min, max, Σv, Σv²) exact int64 moments of ``field`` over
     ``docs`` — the associative shard partial behind stats,
-    extended_stats, sampler and t_test (None: no docs)."""
-    if docs.size == 0:
+    extended_stats, sampler and t_test (None: no docs with a value)."""
+    v = _present(s, docs, field)[1]
+    if v.size == 0:
         return None
-    v = s.field_array(docs, field)
     return (int(v.size), int(v.min()), int(v.max()), int(v.sum()),
             int(v @ v))
 
@@ -285,11 +429,15 @@ def agg_sampler(
 ) -> dict:
     """sampler aggregation (OpenSearch SamplerAggregator): run the
     sub-metrics over only the top-``shard_size`` best-scoring match
-    docs (this searcher = one shard, so the sample is the global score
-    top-N). Sub-agg here is the stats shape over a numeric doc-values
-    field — exact int64, avg divided once."""
+    docs — the global score top-N, so each shard reduces the sampled
+    docs it holds. Sub-agg here is the stats shape over a numeric
+    doc-values field — exact int64, avg divided once."""
     docs, _ = s.search_bm25(terms, k=shard_size)
-    return _stats(_finish_stats([_moments(s, docs, field)]))
+    return _stats(_finish_stats(s._all(_sample_moments, docs, field)))
+
+
+def _sample_moments(s, docs: np.ndarray, field: str) -> tuple | None:
+    return _moments(s, _held(s, docs), field)
 
 
 def agg_t_test(
@@ -332,12 +480,11 @@ def _matrix_partial(
     s, terms: list[str], field_x: str, field_y: str, keep_x: bool
 ) -> tuple:
     """The six exact integer sums (n, Σx, Σx², Σy, Σy², Σxy) over this
-    shard's match set, plus the x values themselves when ``keep_x``."""
-    docs = s._match_union(terms)
+    shard's match set (docs with both values), plus the x values
+    themselves when ``keep_x``."""
+    docs, x, y = _present_pair(s, s._match_union(terms), field_x, field_y)
     if docs.size == 0:
         return (0, 0, 0, 0, 0, 0), None
-    x = s.field_array(docs, field_x)
-    y = s.field_array(docs, field_y)
     sums = (int(docs.size), int(x.sum()), int((x * x).sum()), int(y.sum()),
             int((y * y).sum()), int((x * y).sum()))
     return sums, (x if keep_x else None)
@@ -395,8 +542,7 @@ def agg_matrix_stats(
 
 def _range_partial(s, terms: list[str], field: str, ranges: list) -> list:
     """[count, Σv] per range over this shard's match set."""
-    docs = s._match_union(terms)
-    vals = s.field_array(docs, field) if docs.size else np.empty(0, np.int64)
+    vals = _present(s, s._match_union(terms), field)[1]
     out = []
     for lo, hi in ranges:
         m = np.ones(vals.size, dtype=bool)
@@ -430,6 +576,159 @@ def agg_range(
             "sum_v": sum(p[i][1] for p in parts),
         }
         for i, (lo, hi) in enumerate(ranges)
+    ]
+
+
+def _weighted_partial(
+    s, terms: list[str], value_field: str, weight_field: str
+) -> tuple[int, int]:
+    """(Σ value·weight, Σ weight) over this shard's docs with both."""
+    _, vals, w = _present_pair(s, s._match_union(terms), value_field,
+                               weight_field)
+    return int((vals * w).sum()), int(w.sum())
+
+
+def agg_weighted_avg(
+    s, terms: list[str], value_field: str, weight_field: str = "_dl"
+) -> dict:
+    """weighted_avg aggregation (OpenSearch weighted_avg agg):
+    Σ(value·weight)/Σweight over the match set. ``weight_field``
+    "_dl" uses the BM25 doc length (a weight every index already
+    holds); any numeric doc-values field works. Integer partial
+    sums divide ONCE so the SQL oracle matches bitwise; shard
+    partials (Σvw, Σw) merge associatively."""
+    parts = s._all(_weighted_partial, sorted(set(terms)), value_field,
+                   weight_field)
+    sum_vw, sum_w = sum(p[0] for p in parts), sum(p[1] for p in parts)
+    return {
+        "value": (sum_vw / sum_w) if sum_w else None,
+        "sum_vw": sum_vw,
+        "sum_w": sum_w,
+    }
+
+
+def _top_metrics_partial(
+    s, terms: list[str], sort_field: str, metric_field: str, size: int
+) -> tuple:
+    """This shard's top ``size`` (docs, sort values, metric values)
+    over its docs with both values (the doc length is never missing)."""
+    docs, sv = _present(s, s._match_union(terms), sort_field)
+    if metric_field != "_dl" and docs.size:
+        has = _in_sorted(s.accepted_ids(metric_field, "exists", None), docs)
+        docs, sv = docs[has], sv[has]
+    sel = np.lexsort((docs, -sv))[:size]
+    return docs[sel], sv[sel], _present(s, docs[sel], metric_field)[1]
+
+
+def agg_top_metrics(
+    s,
+    terms: list[str],
+    sort_field: str,
+    metric_field: str = "_dl",
+    size: int = 3,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """top_metrics aggregation (OpenSearch top_metrics agg): the
+    metric field's values at the top ``size`` docs of the match set
+    ordered by (sort_field desc, doc_id asc — the deterministic tie
+    rule); a doc without a sort or a metric value is not ranked.
+    Returns (doc_ids, sort_values, metric_values). Shard partials are
+    each shard's own top ``size`` rows; the coordinator merge is a
+    size-bounded re-sort — exact because a doc's sort value is
+    shard-local."""
+    parts = s._all(_top_metrics_partial, sorted(set(terms)), sort_field,
+                   metric_field, size)
+    if len(parts) == 1:
+        return parts[0]
+    docs, sv, mv = (np.concatenate([p[i] for p in parts]) for i in range(3))
+    sel = np.lexsort((docs, -sv))[:size]
+    return docs[sel], sv[sel], mv[sel]
+
+
+# -- single-searcher aggs: bound on IndexSearcher only, their merges are
+# -- not exact on a shard pool ------------------------------------------------
+
+
+def agg_diversified_sampler(
+    s,
+    terms: list[str],
+    diversify_field: str,
+    agg_field: str,
+    *,
+    shard_size: int = 20,
+    max_docs_per_value: int = 2,
+) -> tuple[list, np.ndarray]:
+    """diversified_sampler agg + nested terms agg (OpenSearch
+    DiversifiedAggregator over BestDocsDeferringCollector): walk the
+    match set best-first by (round6 BM25 desc, doc_id asc), skip
+    docs whose ``diversify_field`` value already holds
+    ``max_docs_per_value`` picks (a doc without a value is not
+    sampled), stop at ``shard_size`` docs, then count the sample by
+    ``agg_field`` (count desc, value asc). Greedy-with-quota over a
+    fixed order == filter rank-within-value <= quota then take the top
+    ``shard_size`` — vectorized cumcount, no Python doc loop. Scores
+    are rounded to 6dp BEFORE ranking so the walk order is
+    cross-engine stable. ``shard_size`` is per shard, so a pool's
+    sample would differ from a single searcher's."""
+    sterms = sorted(set(terms))
+    docs, scores = s._bm25_union_scores(sterms, s._gdfs(sterms))
+    if docs.size == 0:
+        return [], np.empty(0, np.int64)
+    scores = np.floor(scores * 1e6 + 0.5) / 1e6  # scores are >= 0
+    docs_o = docs[np.lexsort((docs, -scores))]
+    dv = s.field_values(docs_o, diversify_field)
+    if dv.null_count:
+        has = dv.is_valid()
+        docs_o, dv = docs_o[has.to_numpy(zero_copy_only=False)], dv.filter(has)
+    # occurrence index of each position within its value, in walk
+    # order: stable argsort by code keeps walk order inside groups
+    inv = pc.dictionary_encode(dv).indices.to_numpy(zero_copy_only=False)
+    grp = np.argsort(inv, kind="stable")
+    g = inv[grp]
+    occ = np.empty(inv.size, dtype=np.int64)
+    occ[grp] = np.arange(g.size) - np.searchsorted(g, g)
+    keep = np.flatnonzero(occ < max_docs_per_value)[:shard_size]
+    return _top_buckets(*_value_counts(s, docs_o[keep], agg_field))
+
+
+def agg_variable_width(
+    s, terms: list[str], field: str, buckets: int = 4
+) -> list[dict]:
+    """variable_width_histogram aggregation — deterministic
+    EQUAL-DEPTH tier. The reference's
+    VariableWidthHistogramAggregator clusters with an
+    order-dependent streaming heuristic (collection order changes
+    the buckets — no stable oracle exists by design), so this
+    engine pins the deterministic equal-depth restatement: bucket
+    edges at the i/buckets interpolated quantiles
+    (PERCENTILE_CONT), values binned by count(edges ≤ v)
+    (np.searchsorted side="right"), per-bucket min/max/avg/count
+    from exact int64 partials. Non-empty buckets only, keyed by
+    bucket ordinal. The edges are global quantiles, so a pool would
+    need every matched value."""
+    if buckets < 2:
+        raise ValueError("buckets must be >= 2")
+    vals = _present(s, s._match_union(terms), field)[1]
+    if vals.size == 0:
+        return []
+    qs = [i * 100.0 / buckets for i in range(1, buckets)]
+    edges = np.percentile(vals.astype(np.float64), qs, method="linear")
+    ring = np.searchsorted(edges, vals, side="right")
+    cnt = np.bincount(ring, minlength=buckets)
+    tot = np.bincount(ring, weights=vals, minlength=buckets)
+    mn = np.full(buckets, np.iinfo(np.int64).max)
+    mx = np.full(buckets, np.iinfo(np.int64).min)
+    np.minimum.at(mn, ring, vals)
+    np.maximum.at(mx, ring, vals)
+    return [
+        {
+            "bucket": b,
+            "count": int(cnt[b]),
+            "min": int(mn[b]),
+            "max": int(mx[b]),
+            "avg": int(tot[b]) / int(cnt[b]),
+        }
+        for b in range(buckets)
+        if cnt[b]
     ]
 
 
@@ -552,10 +851,9 @@ def _digest_partial(
     """t-digest centroid partial over this shard's match set (a few KiB
     regardless of match size — TDigestState's transport form); with a
     ``center``, the digest of |v − center| (phase 2 of the MAD)."""
-    docs = s._match_union(terms)
-    if docs.size == 0:
+    vals = _present(s, s._match_union(terms), field, np.float64)[1]
+    if vals.size == 0:
         return b""
-    vals = s.field_array(docs, field, np.float64)
     if center is not None:
         vals = np.abs(vals - center)
     return TDigest(delta).add(vals).to_bytes()
@@ -564,7 +862,7 @@ def _digest_partial(
 def _digest(
     s, terms: list[str], field: str, delta: float, center: float | None = None
 ) -> TDigest | None:
-    """Merged t-digest of the shard partials (None: no matches)."""
+    """Merged t-digest of the shard partials (None: no values)."""
     parts = [b for b in s._all(_digest_partial, terms, field, delta, center) if b]
     if not parts:
         return None
@@ -574,31 +872,78 @@ def _digest(
     return t
 
 
-def tdigest_percentiles(
+def _tier(s, method: str | None) -> str:
+    """The quantile tier: ``method=None`` is exact in-process and
+    t-digest on a shard pool, which refuses exact before any fan-out (it
+    would ship every matched value to the driver)."""
+    if method is None:
+        return "exact" if s._co_located else "tdigest"
+    if method not in ("exact", "tdigest"):
+        raise ValueError(f"unknown quantile method: {method!r}")
+    if method == "exact" and not s._co_located:
+        raise ValueError(
+            "method='exact' needs every matched value in one process; "
+            "a shard pool serves method='tdigest'"
+        )
+    return method
+
+
+def _values_partial(s, terms: list[str], field: str) -> np.ndarray:
+    return _present(s, s._match_union(terms), field, np.float64)[1]
+
+
+def _exact_values(s, terms: list[str], field: str) -> np.ndarray:
+    """Every matched value, float64 (the exact tier: co-located only)."""
+    [vals] = s._all(_values_partial, terms, field)
+    return vals
+
+
+def agg_percentiles(
     s,
     terms: list[str],
     field: str,
     pcts: tuple[float, ...] = (1, 5, 25, 50, 75, 95, 99),
+    method: str | None = None,
     delta: float = 100.0,
 ) -> np.ndarray:
-    """Percentiles, t-digest tier (the reference's default TDigestState
-    path): quantiles of the merged digest, NaN with no matches."""
-    t = _digest(s, terms, field, delta)
-    if t is None:
+    """Percentiles aggregation (OpenSearch percentiles agg) over the
+    boolean-OR match set, NaN with no values. ``method="exact"`` is the
+    SQL-oracleable linear-interpolation quantile (PERCENTILE_CONT /
+    numpy "linear"); ``method="tdigest"`` is the reference's default
+    TDigestState path — quantiles of the merged digest, whose shard
+    partials are a few KiB of centroids regardless of match-set size.
+    The default tier follows ``_tier``."""
+    if _tier(s, method) == "tdigest":
+        t = _digest(s, terms, field, delta)
+        if t is None:
+            return np.full(len(pcts), np.nan)
+        return t.quantiles(np.asarray(pcts, dtype=np.float64) / 100.0)
+    vals = _exact_values(s, terms, field)
+    if vals.size == 0:
         return np.full(len(pcts), np.nan)
-    return t.quantiles(np.asarray(pcts, dtype=np.float64) / 100.0)
+    return np.percentile(vals, list(pcts), method="linear")
 
 
-def tdigest_percentile_ranks(
+def agg_percentile_ranks(
     s,
     terms: list[str],
     field: str,
     values: tuple[float, ...],
+    method: str | None = None,
     delta: float = 100.0,
 ) -> np.ndarray:
-    """percentile_ranks, t-digest tier: invert the merged digest's
+    """percentile_ranks aggregation (inverse percentiles): for each
+    given value, the percentage of match-set field values ≤ it, NaN
+    with no values. Exact tier = the empirical CDF (100·|v ≤ x|/n,
+    SQL-oracleable); the t-digest tier inverts the merged digest's
     quantile function by bisection over q (exact enough for the sketch
     tier — the digest itself is the approximation)."""
+    if _tier(s, method) == "exact":
+        sv = np.sort(_exact_values(s, terms, field))
+        if sv.size == 0:
+            return np.full(len(values), np.nan)
+        c = np.searchsorted(sv, np.asarray(values, np.float64), "right")
+        return 100.0 * c / sv.size
     t = _digest(s, terms, field, delta)
     if t is None:
         return np.full(len(values), np.nan)
@@ -615,13 +960,26 @@ def tdigest_percentile_ranks(
     return np.asarray(out)
 
 
-def tdigest_mad(
-    s, terms: list[str], field: str, delta: float = 100.0
+def agg_mad(
+    s,
+    terms: list[str],
+    field: str,
+    method: str | None = None,
+    delta: float = 100.0,
 ) -> float:
-    """median_absolute_deviation, t-digest tier (two phases, like the
-    reference's MedianAbsoluteDeviationAggregator): merged digest →
-    approximate median, then shard digests of |v − median| → merged →
-    median again. Both phases ship only centroid bytes."""
+    """median_absolute_deviation aggregation: median(|v − median(v)|),
+    NaN with no values. Exact tier = interpolated medians
+    (PERCENTILE_CONT twice, SQL-oracleable); the t-digest tier runs two
+    phases like the reference's MedianAbsoluteDeviationAggregator:
+    merged digest → approximate median, then shard digests of
+    |v − median| → merged → median again, shipping only centroid
+    bytes."""
+    if _tier(s, method) == "exact":
+        vals = _exact_values(s, terms, field)
+        if vals.size == 0:
+            return float("nan")
+        med = np.percentile(vals, 50, method="linear")
+        return float(np.percentile(np.abs(vals - med), 50, method="linear"))
     t = _digest(s, terms, field, delta)
     if t is None:
         return float("nan")
@@ -629,21 +987,38 @@ def tdigest_mad(
     return float(_digest(s, terms, field, delta, med).quantile(0.5))
 
 
-def tdigest_boxplot(
-    s, terms: list[str], field: str, delta: float = 100.0
+def agg_boxplot(
+    s,
+    terms: list[str],
+    field: str,
+    method: str | None = None,
+    delta: float = 100.0,
 ) -> dict:
-    """boxplot, t-digest tier: exact min/max (the digest tracks them)
-    and the merged digest's quartiles."""
-    t = _digest(s, terms, field, delta)
-    if t is None:
-        return {"min": None, "q1": None, "q2": None, "q3": None, "max": None}
-    q1, q2, q3 = t.quantiles(np.asarray([0.25, 0.5, 0.75]))
+    """boxplot aggregation (OpenSearch BoxplotAggregator): min / q1 /
+    q2 / q3 / max of a numeric doc-values field over the boolean-OR
+    match set (all None with no values). ``method="exact"`` uses
+    linear-interpolation quantiles (PERCENTILE_CONT / numpy "linear" —
+    SQL-oracleable); the t-digest tier mirrors the reference's
+    TDigestState: exact min/max (the digest tracks them) and the merged
+    digest's quartiles."""
+    if _tier(s, method) == "exact":
+        vals = _exact_values(s, terms, field)
+        if vals.size == 0:
+            return dict.fromkeys(("min", "q1", "q2", "q3", "max"))
+        lo, hi = vals.min(), vals.max()
+        q1, q2, q3 = np.percentile(vals, [25, 50, 75], method="linear")
+    else:
+        t = _digest(s, terms, field, delta)
+        if t is None:
+            return dict.fromkeys(("min", "q1", "q2", "q3", "max"))
+        lo, hi = t.min, t.max
+        q1, q2, q3 = t.quantiles(np.asarray([0.25, 0.5, 0.75]))
     return {
-        "min": float(t.min),
+        "min": float(lo),
         "q1": float(q1),
         "q2": float(q2),
         "q3": float(q3),
-        "max": float(t.max),
+        "max": float(hi),
     }
 
 

@@ -27,18 +27,18 @@ The BM25 hot path keeps dedicated methods (``stats``, ``local_dfs``,
 on the view. ``fn`` is an unbound ``IndexSearcher`` method or a
 module-level ``(searcher, ...)`` function, so it pickles by reference.
 
-Where shard ops live: every aggregation, term-dictionary and scoring op
-is defined ONCE — query/aggs.py and query/suggest.py (shard partials
-plus a merge), query/scoring.py and the two query-string grammars in
-query/queryparser.py / query/querystring.py (stats resolved through the
-context, one shard kernel, a merge) — and bound here and on
-``IndexSearcher`` as the same function objects. This module supplies
+Where shard ops live: every aggregation, term-dictionary, significance
+and scoring op is defined ONCE — query/aggs.py, query/suggest.py and
+query/significant.py (shard partials plus a merge), query/scoring.py and
+the two query-string grammars in query/queryparser.py /
+query/querystring.py (stats resolved through the context, one shard
+kernel, a merge) — and bound by the ``SharedOps`` list (query/ops.py)
+that this class and ``IndexSearcher`` both inherit. This module supplies
 their context: ``_all`` (one ``run`` per host), ``_topk`` (``_all`` plus
 the concat + ``topk_desc`` merge), and the cached global stats
 ``_gdfs`` (df) and ``_gcfs`` (LM collection frequency). Only the BM25
-hot path (``search_bm25``, ``msearch_bm25``, ``warmup``), the
-multi-field ``search_multi_match`` and ``significant_terms`` are
-written here.
+hot path (``search_bm25``, ``msearch_bm25``, ``warmup``) and the
+multi-field ``search_multi_match`` are written here.
 
 At 256-node scale this is the serving topology: actors pinned per node
 via ``ray.remote(num_cpus=...)``, shard assignment from the manifest,
@@ -60,11 +60,11 @@ import ray
 
 from ..index.deletes import TOMBSTONE_DIR
 from ..index.manifest import MANIFEST_NAME, IndexManifest
-from . import aggs, queryparser, querystring, scoring, suggest
-from .engine import IndexSearcher, topk_desc
+from .bm25 import topk_desc
+from .engine import IndexSearcher
 from .multifield import search_multi_match
+from .ops import SharedOps
 from .scoring import _no_hits
-from .significant import combine_significant, significant_partial
 
 
 class StaleIndexView(RuntimeError):
@@ -288,7 +288,8 @@ class _ShardPool:
     doc-shard subsets, plus the generic fan-out helpers every
     coordinator op is written in."""
 
-    # matched values live on the hosts: no co-located-only agg extras
+    # matched values live on the hosts: no co-located-only agg extras,
+    # and the quantile aggs default to their t-digest tier
     _co_located = False
 
     def __init__(
@@ -351,7 +352,7 @@ class _ShardPool:
         self.actors = []
 
 
-class DistributedSearcher(_ShardPool):
+class DistributedSearcher(SharedOps, _ShardPool):
     """Driver-side handle: builds the actor pool over disjoint shard
     subsets and runs coordinator-reduce queries."""
 
@@ -391,56 +392,6 @@ class DistributedSearcher(_ShardPool):
             self._gcf, lambda m: self._all(IndexSearcher._gcfs, m), terms
         )
 
-    # the ops IndexSearcher binds too: aggregation and dictionary ops
-    # (query/aggs.py, query/suggest.py; the t-digest tier of the quantile
-    # aggs is the only tier, exact needs co-located values) and scoring
-    # ops (query/scoring.py and the query-string grammars)
-    facet_terms = aggs.facet_terms
-    facet_top_hits = aggs.facet_top_hits
-    agg_composite = aggs.agg_composite
-    agg_extended_stats = aggs.agg_extended_stats
-    agg_t_test = aggs.agg_t_test
-    agg_matrix_stats = aggs.agg_matrix_stats
-    agg_range = aggs.agg_range
-    agg_filters = aggs.agg_filters
-    agg_adjacency_matrix = aggs.agg_adjacency_matrix
-    agg_cardinality = aggs.agg_cardinality
-    agg_string_stats = aggs.agg_string_stats
-    agg_scripted_metric = aggs.agg_scripted_metric
-    agg_percentiles = aggs.tdigest_percentiles
-    agg_percentile_ranks = aggs.tdigest_percentile_ranks
-    agg_mad = aggs.tdigest_mad
-    agg_boxplot = aggs.tdigest_boxplot
-    terms_enum = suggest.terms_enum
-    agg_rare_terms = suggest.agg_rare_terms
-    suggest_term = suggest.suggest_term
-    suggest_completion = suggest.suggest_completion
-    suggest_phrase = suggest.suggest_phrase
-    search_phrase = scoring.search_phrase
-    search_phrase_prefix = scoring.search_phrase_prefix
-    search_bool = scoring.search_bool
-    search_terms_set = scoring.search_terms_set
-    search_synonym = scoring.search_synonym
-    search_dis_max = scoring.search_dis_max
-    search_decay = scoring.search_decay
-    search_boosting = scoring.search_boosting
-    search_rank_feature = scoring.search_rank_feature
-    search_function_score = scoring.search_function_score
-    search_distance_feature = scoring.search_distance_feature
-    search_pinned = scoring.search_pinned
-    search_lm = scoring.search_lm
-    search_span_or = scoring.search_span_or
-    search_span_within = scoring.search_span_within
-    search_span_containing = scoring.search_span_containing
-    highlight_best_window = scoring.highlight_best_window
-    search_prefix = scoring.search_prefix
-    search_wildcard = scoring.search_wildcard
-    search_regexp = scoring.search_regexp
-    search_fuzzy = scoring.search_fuzzy
-    search_query_string = queryparser.search_query_string
-    search_simple_query_string = querystring.search_simple_query_string
-    search_match_bool_prefix = querystring.search_match_bool_prefix
-
     def warmup(self, term_lists: list[list[str]]) -> None:
         """Batched cache warmup for an expected query workload — the
         reference's explicit warmup API (SURVEY.md §3.3). ONE df
@@ -478,25 +429,6 @@ class DistributedSearcher(_ShardPool):
             _merge_topk([pa_[qi] for pa_ in per_actor], k)
             for qi in range(len(norm_lists))
         ]
-
-    def significant_terms(
-        self, terms: list[str], size: int = 10, min_doc_count: int = 1
-    ):
-        """Distributed significant_terms: per-actor (term, fg_df) maps
-        merged by sum, background dfs resolved through the same
-        coordinator df cache as BM25 — EXACT across any sharding."""
-        parts = self._all(significant_partial, terms)
-        vocab = sorted({t for m, _ in parts for t in m})
-        if not vocab:
-            return combine_significant(parts, lambda v: [], self.n_docs, size)
-        self._gdfs(vocab)
-        return combine_significant(
-            parts,
-            lambda v: [int(self._gdf[t]) for t in v],
-            self.n_docs,
-            size,
-            min_doc_count,
-        )
 
 
 class MultiFieldDistributedSearcher(_ShardPool):

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import IndexSearcher, topk_desc
+from .bm25 import topk_desc
+from .engine import IndexSearcher
 
 
 class MultiIndexSearcher:

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bm25 import bm25_term_idfs
-from .engine import IndexSearcher, topk_desc
+from .bm25 import bm25_term_idfs, topk_desc
+from .engine import IndexSearcher
 
 MULTI_MATCH_TYPES = ("best_fields", "most_fields", "cross_fields")
 

@@ -272,9 +272,7 @@ def _eval(node: Node, searcher, dfs: dict):
         order = np.argsort(docs, kind="stable")
         return docs[order], scores[order]
     if node.kind == "prefix":
-        docs, _ = searcher._constant_score_union(
-            searcher.expand_prefix(node.payload), k=searcher.n_docs + 1
-        )
+        docs = searcher._match_union(searcher.expand_prefix(node.payload))
         return docs, np.ones(docs.size, np.float64)
     if node.kind == "kw":
         field, value = node.payload

@@ -107,7 +107,7 @@ def _clauses_topk(s, clauses: list[Clause], k: int, dfs: dict):
     for c in nots:
         docs = clause_docs(c)
         if docs.size == 0 or cand.size == 0:
-            break
+            continue
         pos_c = np.minimum(np.searchsorted(docs, cand), docs.size - 1)
         cand = cand[docs[pos_c] != cand]
     if cand.size == 0:

@@ -37,7 +37,9 @@ from collections import Counter
 import numpy as np
 
 from ..index.codec import posting_gather
+from .aggs import _in_sorted
 from .bm25 import bm25_idf, topk_desc
+from .suggest import expand_fuzzy
 
 #: pinned-hit synthetic score base — far above any organic BM25 score,
 #: mirroring PinnedQueryBuilder's MAX_ORGANIC_SCORE pinning contract.
@@ -608,14 +610,32 @@ def search_distance_feature(
     return _rescored(s, terms, k, _distance_feature, field, origin, pivot, boost)
 
 
+def _script(s, docs, scores, script):
+    cols = {
+        c: s.field_values(docs, c).to_numpy(zero_copy_only=False)
+        for c in script.columns
+    }
+    return script.score(cols, scores)
+
+
+def search_script_score(s, terms: list[str], script, k: int = 10) -> tuple:
+    """script_score query (OpenSearch ScriptScoreQuery): wrap the
+    inner term query and REPLACE each hit's score with a registered
+    score script (query/scripts.py ScoreScript — the compiled-
+    Painless analogue) evaluated over the doc's doc-values and the
+    inner ``_score``. The script reorders docs arbitrarily, so it
+    runs over the FULL union's exact BM25 scores before any
+    truncation (same soundness rule as function_score/dis_max)."""
+    return _rescored(s, terms, k, _script, script)
+
+
 # -- pinned -------------------------------------------------------------------
 
 
 def _existing_ids(s, ids: list[int]) -> list[int]:
     """The ``ids`` this shard holds."""
-    have = s._dl_doc_ids
-    pos = np.searchsorted(have, ids).tolist()
-    return [i for i, p in zip(ids, pos) if p < have.size and have[p] == i]
+    ids = np.asarray(ids, dtype=np.int64)
+    return ids[_in_sorted(s._dl_doc_ids, ids)].tolist()
 
 
 def _organic_topk(s, sterms: list[str], pins: list[int], k: int, dfs) -> tuple:
@@ -648,6 +668,59 @@ def search_pinned(s, pinned_ids: list[int], terms: list[str], k: int = 10) -> tu
             [PIN_SCORE_BASE - np.arange(len(pins), dtype=np.float64), organic[1]]
         ),
     )
+
+
+# -- id, range and sparse-dot queries ------------------------------------------
+
+
+def _ids_topk(s, ids: np.ndarray, k: int) -> tuple:
+    docs = ids[_in_sorted(s._dl_doc_ids, ids)][:k]
+    return docs, np.ones(docs.size, dtype=np.float64)
+
+
+def search_ids(s, ids: list[int], k: int = 10) -> tuple:
+    """ids query (Lucene IdsQueryBuilder / TermInSetQuery on _id):
+    constant score 1.0 for each EXISTING doc id, duplicates
+    collapsed, doc_id-ascending order, k cap. Missing ids are
+    skipped silently (the reference's IDs-query semantics, same as
+    search_pinned's membership rule)."""
+    return s._topk(k, _ids_topk, np.unique(np.asarray(ids, dtype=np.int64)), k)
+
+
+def _range_topk(s, field: str, lo, hi, k: int) -> tuple:
+    dv = s.doc_values()
+    ge = dv.accepted(field, ">=", lo)
+    lt = dv.accepted(field, "<", hi)
+    docs = np.intersect1d(ge, lt, assume_unique=True)[:k]
+    return docs, np.ones(docs.size, dtype=np.float64)
+
+
+def search_range(s, field: str, lo, hi, k: int = 10) -> tuple:
+    """Numeric range query over doc-values (Lucene point/range query
+    under the CONSTANT_SCORE rewrite): docs with lo <= field < hi,
+    score 1.0, doc_id asc — evaluated as two cached doc-values
+    predicate scans intersected shard-locally."""
+    return s._topk(k, _range_topk, field, lo, hi, k)
+
+
+def _sparse_dot_topk(s, token_weights: dict[str, float], k: int) -> tuple:
+    terms = sorted(token_weights)
+    cand = s._match_union(terms)
+    if cand.size == 0:
+        return _no_hits()
+    scores = np.zeros(cand.size, dtype=np.float64)
+    for t in terms:
+        docs, tfs = s.postings(t)
+        if docs.size:
+            scores[np.searchsorted(cand, docs)] += token_weights[t] * tfs
+    return topk_desc(cand, scores, k)
+
+
+def search_sparse_dot(s, token_weights: dict[str, float], k: int = 10) -> tuple:
+    """Sparse linear dot-product scoring: score(d) = Σ_t q_w(t)·tf_d(t)
+    (query/NeuralSparseQueryBuilder.java:569-589 with analyzer tfs) —
+    per-doc, so shards score locally with no global stats."""
+    return s._topk(k, _sparse_dot_topk, token_weights, k)
 
 
 # -- language-model similarities ------------------------------------------------
@@ -730,9 +803,9 @@ def search_lm(
 
 
 def _union_df(s, sterms: list[str]) -> int:
-    """This shard's span_or union df: docs holding any clause term,
-    counted on a doc-space mask (shards are disjoint, so the global
-    union df is the sum of these)."""
+    """This shard's union df (span_or, span_multi legs): docs holding
+    any of ``sterms``, counted on a doc-space mask (shards are disjoint,
+    so the global union df is the sum of these)."""
     hit = np.zeros(s._dl_doc_ids.size, dtype=bool)
     for t in sterms:
         hit[s.postings_full(t)[2]] = True
@@ -740,17 +813,13 @@ def _union_df(s, sterms: list[str]) -> int:
 
 
 def _span_or_topk(s, sterms: list[str], k: int, df: float) -> tuple:
-    nonempty = [(d, f) for d, f in (s.postings(t) for t in sterms) if d.size]
-    if not nonempty:
+    cand = s._match_union(sterms)
+    if cand.size == 0:
         return _no_hits()
-    cand = (
-        np.unique(np.concatenate([d for d, _ in nonempty]))
-        if len(nonempty) > 1
-        else nonempty[0][0]
-    )
     f = np.zeros(cand.size, dtype=np.float64)
-    for docs, tfs in nonempty:
-        f[np.searchsorted(cand, docs)] += tfs
+    for docs, tfs in (s.postings(t) for t in sterms):
+        if docs.size:
+            f[np.searchsorted(cand, docs)] += tfs
     return topk_desc(cand, _saturate(s, cand, f, _idf_sum(s, [df])), k)
 
 
@@ -836,6 +905,306 @@ def search_span_containing(s, little: str, big: list[str], k: int = 10) -> tuple
     return s._topk(k, _span_containing_topk, little, big, k, s._gdfs(big))
 
 
+def _span_first_topk(s, term: str, end: int, k: int, dfs) -> tuple:
+    docs, _, posf, tok_start = s.postings_positions(term)
+    if docs.size == 0:
+        return _no_hits()
+    cnt = np.add.reduceat((posf < end).astype(np.int64), tok_start)
+    keep = cnt > 0
+    docs, f = docs[keep], cnt[keep].astype(np.float64)
+    if docs.size == 0:
+        return _no_hits()
+    return topk_desc(docs, _saturate(s, docs, f, _idf_sum(s, dfs)), k)
+
+
+def search_span_first(s, term: str, end: int, k: int = 10) -> tuple:
+    """span_first query (Lucene SpanFirstQuery): match only term
+    occurrences whose span ends within the first ``end`` positions —
+    a term span at 0-based position p has end p+1, so the condition
+    is p < end (the match-in-the-opening-window primitive, e.g.
+    "term appears in the lead"). tf = count of qualifying positions;
+    scored like a single-term BM25 with that restricted tf.
+    Vectorized: one boolean mask over the flat positions array +
+    np.add.reduceat per posting slice. Requires positions."""
+    if end <= 0:
+        return _no_hits()
+    return s._topk(k, _span_first_topk, term, end, k, s._gdfs([term]))
+
+
+def _span_not_topk(
+    s, include: str, exclude: str, pre: int, post: int, k: int, dfs
+) -> tuple:
+    docs_i, tfs_i, posf_i, _ = s.postings_positions(include)
+    if docs_i.size == 0:
+        return _no_hits()
+    docs_e, tfs_e, posf_e, _ = s.postings_positions(exclude)
+    shift = np.int64(
+        _max_pos([(docs_i, tfs_i, posf_i), (docs_e, tfs_e, posf_e)])
+        + pre + post + 2
+    )
+    keys_i = np.repeat(docs_i, tfs_i) * shift + posf_i
+    keys_e = np.repeat(docs_e, tfs_e) * shift + posf_e
+    # an exclude at q kills include at p iff p-pre <= q <= p+post
+    lo = np.searchsorted(keys_e, keys_i - pre)
+    hi = np.searchsorted(keys_e, keys_i + post, side="right")
+    kept = keys_i[hi == lo]
+    if kept.size == 0:
+        return _no_hits()
+    docs_u, freq = np.unique(kept // shift, return_counts=True)
+    return topk_desc(docs_u, _saturate(s, docs_u, freq, _idf_sum(s, dfs)), k)
+
+
+def search_span_not(
+    s, include: str, exclude: str, k: int = 10, *, pre: int = 0, post: int = 0
+) -> tuple:
+    """span_not query (Lucene SpanNotQuery): occurrences of
+    ``include`` that have NO ``exclude`` occurrence within
+    [p - pre, p + post]; tf = surviving count, scored as
+    single-term BM25 with that restricted tf and the include
+    term's df (stored df, a valid upper bound — the Lucene
+    contract). Vectorized: one searchsorted of include positions
+    into the exclude (doc,pos) keyspace per window edge."""
+    if pre < 0 or post < 0:
+        raise ValueError("pre and post must be >= 0")
+    return s._topk(
+        k, _span_not_topk, include, exclude, pre, post, k, s._gdfs([include])
+    )
+
+
+def _in_order_topk(
+    s, keys: list[np.ndarray], shift: np.int64, slop: int, idf_sum: float,
+    k: int,
+) -> tuple:
+    """Top-k of the in-order span-near chain over per-leg sorted
+    ``doc·shift + pos`` keys: each start advances with ONE
+    searchsorted per leg to the earliest next occurrence (minimal
+    end for that start); tf = starts whose chain fits the window."""
+    start = cur = keys[0]
+    for nk in keys[1:]:
+        # greedy: earliest occurrence of the next leg strictly after cur
+        pos = np.searchsorted(nk, cur, side="right")
+        ok = pos < nk.size
+        nxt = nk[np.minimum(pos, nk.size - 1)]
+        # must stay in the same doc
+        ok &= (nxt // shift) == (cur // shift)
+        start, cur = start[ok], nxt[ok]
+        if start.size == 0:
+            return _no_hits()
+    start = start[(cur - start) <= (len(keys) - 1 + slop)]
+    if start.size == 0:
+        return _no_hits()
+    docs_u, freq = np.unique(start // shift, return_counts=True)
+    return topk_desc(docs_u, _saturate(s, docs_u, freq, idf_sum), k)
+
+
+def _span_near_topk(s, terms: list[str], slop: int, k: int, dfs) -> tuple:
+    posts = [s.postings_positions(t) for t in terms]
+    if any(p[0].size == 0 for p in posts):
+        return _no_hits()
+    # window arithmetic stays inside one doc's key range
+    shift = np.int64(_max_pos(posts) + len(terms) + slop + 2)
+    keys = [np.repeat(p[0], p[1]) * shift + p[2] for p in posts]
+    return _in_order_topk(s, keys, shift, slop, _idf_sum(s, dfs), k)
+
+
+def _span_pair_topk(s, terms: list[str], slop: int, k: int, dfs) -> tuple:
+    """2-term unordered span: tf = distinct positions p of EITHER
+    term whose partner occurs in (p, p + slop + 1] — each unordered
+    window counted once at its min position."""
+    posts = [s.postings_positions(t) for t in terms]
+    if any(p[0].size == 0 for p in posts):
+        return _no_hits()
+    shift = np.int64(_max_pos(posts) + slop + 3)
+    keys = [np.repeat(p[0], p[1]) * shift + p[2] for p in posts]
+
+    def _starts(anchor: np.ndarray, other: np.ndarray) -> np.ndarray:
+        # anchor positions whose partner lies in (key, key + slop + 1]
+        # — same doc guaranteed because shift > max_pos + slop + 2
+        lo = np.searchsorted(other, anchor, side="right")
+        hi = np.searchsorted(other, anchor + slop + 1, side="right")
+        return anchor[hi > lo]
+
+    if terms[0] == terms[1]:  # degenerate same-term pair
+        starts = _starts(keys[0], keys[0])
+    else:
+        starts = np.union1d(_starts(keys[0], keys[1]), _starts(keys[1], keys[0]))
+    if starts.size == 0:
+        return _no_hits()
+    docs_u, freq = np.unique(starts // shift, return_counts=True)
+    return topk_desc(docs_u, _saturate(s, docs_u, freq, _idf_sum(s, dfs)), k)
+
+
+def search_span_near(
+    s, terms: list[str], k: int = 10, *, slop: int = 0, in_order: bool = True
+) -> tuple:
+    """In-order span-near query (Lucene SpanNearQuery(inOrder=true) /
+    sloppy PhraseQuery matching): a doc matches where positions
+    p_0 < p_1 < ... < p_{n-1} of the terms (strictly increasing, in
+    order) fit a window of width <= n + slop; slop=0 degenerates to
+    exact phrase adjacency.
+
+    tf := number of match START positions with a valid minimal
+    completion (greedy earliest-next per step — minimal end for a
+    given start, so "exists valid chain" is exact); scored like
+    search_phrase (idf summed per term occurrence, same dl norm)
+    with weight 1 per span — a documented deviation from Lucene's
+    1/(1+matchLength) sloppyFreq, pinned by the SQL oracle.
+
+    Vectorized: (doc, pos) int64 keys; each step advances every
+    candidate chain with ONE searchsorted against the next term's
+    key array. Requires a positional index.
+
+    ``in_order=False`` (SpanNearQuery(inOrder=false)) supports
+    EXACTLY two terms: a window start is any position of either
+    term whose partner occurs within the next ``slop + 1``
+    positions; tf = distinct window starts (the symmetric
+    min-position convention, pinned by the oracle). The general
+    n-term unordered matcher (Lucene's priority-queue algorithm)
+    is intentionally not restated — compose 2-term spans instead."""
+    if not terms:
+        return _no_hits()
+    if slop < 0:
+        raise ValueError("slop must be >= 0")
+    kernel = _span_near_topk
+    if not in_order:
+        if len(terms) != 2:
+            raise ValueError(
+                "in_order=False supports exactly 2 terms; compose "
+                "2-term spans for wider unordered windows"
+            )
+        kernel = _span_pair_topk
+    return s._topk(k, kernel, terms, slop, k, s._gdfs(terms))
+
+
+def _leg_stats(s, legs: list[tuple[str, str]]) -> list[tuple[list[str], int]]:
+    """This shard's (expansion, df) per leg: the leg's dictionary terms
+    and the docs holding any of them (shards are disjoint, so the
+    global df is the sum)."""
+    out = []
+    for kind, val in legs:
+        terms = [val] if kind == "term" else s.expand_prefix(val)
+        out.append((terms, _union_df(s, terms)))
+    return out
+
+
+def _span_multi_topk(
+    s, leg_terms: list[list[str]], slop: int, k: int, dfs
+) -> tuple:
+    leg_parts = []
+    for terms in leg_terms:
+        parts = [p for p in map(s.postings_positions, terms) if p[0].size]
+        if not parts:
+            return _no_hits()
+        leg_parts.append(parts)
+    shift = np.int64(
+        max(_max_pos(parts) for parts in leg_parts) + len(leg_terms) + slop + 2
+    )
+    keys = []
+    for parts in leg_parts:
+        kk = np.concatenate([np.repeat(p[0], p[1]) * shift + p[2] for p in parts])
+        if len(parts) > 1:
+            kk.sort()
+        keys.append(kk)
+    return _in_order_topk(s, keys, shift, slop, _idf_sum(s, dfs), k)
+
+
+def search_span_multi(
+    s, legs: list[tuple[str, str]], k: int = 10, *, slop: int = 0
+) -> tuple:
+    """In-order span-near whose legs may be multi-term expansions —
+    Lucene SpanNearQuery over SpanTermQuery /
+    SpanMultiTermQueryWrapper(PrefixQuery) legs (the wrapper's
+    SPAN_REWRITE expands the prefix into a SpanOrQuery of dictionary
+    terms).
+
+    ``legs``: [("term", t) | ("prefix", p), ...]. Per leg the
+    position stream is the UNION of the positions of every matching
+    dictionary term (prefix expansion via the sorted-dictionary
+    binary search, never a scan); matching and tf are EXACTLY
+    search_span_near's greedy in-order chain over the merged
+    streams. Scoring (pinned by the SQL oracle, same weight-1 span
+    convention): idf_sum = Σ per-leg idf where a multi-term leg's
+    df is the number of DISTINCT docs containing ANY expansion —
+    the blended idf of the expanded SpanOr leg (summed over the
+    shards)."""
+    if not legs:
+        return _no_hits()
+    if slop < 0:
+        raise ValueError("slop must be >= 0")
+    for kind, _ in legs:
+        if kind not in ("term", "prefix"):
+            raise ValueError(f"unknown span leg kind {kind!r}")
+    parts = s._all(_leg_stats, legs)
+    leg_terms = [sorted({t for p in parts for t in p[i][0]}) for i in range(len(legs))]
+    dfs = [sum(p[i][1] for p in parts) for i in range(len(legs))]
+    return s._topk(k, _span_multi_topk, leg_terms, slop, k, dfs)
+
+
+def _intervals_topk(s, sterms: list[str], max_gaps: int, k: int, dfs) -> tuple:
+    n = len(sterms)
+    posts = [s.postings_positions(t) for t in sterms]
+    if any(p[0].size == 0 for p in posts):
+        return _no_hits()
+    shift = np.int64(_max_pos(posts) + 2)
+    keys = [np.repeat(p[0], p[1]) * shift + p[2] for p in posts]
+    ends = np.unique(np.concatenate(keys))
+    ok = np.ones(ends.size, dtype=bool)
+    prev_min = np.full(ends.size, np.iinfo(np.int64).max, dtype=np.int64)
+    for kt in keys:
+        idx = np.searchsorted(kt, ends, side="right") - 1
+        has = idx >= 0
+        prev = kt[np.maximum(idx, 0)]
+        has &= (prev // shift) == (ends // shift)
+        ok &= has
+        prev_min = np.minimum(prev_min, np.where(has, prev, prev_min))
+    ends_v, s_v = ends[ok], prev_min[ok]
+    if ends_v.size == 0:
+        return _no_hits()
+    # ends_v ascending ⇒ np.unique(return_index) picks the smallest
+    # end per distinct start = the minimal windows
+    u_s, first = np.unique(s_v, return_index=True)
+    min_ends = ends_v[first]
+    hits = min_ends[(min_ends - u_s) <= (n - 1 + max_gaps)]
+    if hits.size == 0:
+        return _no_hits()
+    docs_u, freq = np.unique(hits // shift, return_counts=True)
+    return topk_desc(docs_u, _saturate(s, docs_u, freq, _idf_sum(s, dfs)), k)
+
+
+def search_intervals(
+    s, terms: list[str], k: int = 10, *, max_gaps: int = 0
+) -> tuple:
+    """UNORDERED n-term intervals query (Lucene intervals
+    ``all_of(ordered=false)`` / UnorderedIntervalsSource under the
+    minimal-interval semantics of Vigna's "Efficient lazy
+    algorithms", which Lucene implements): a doc matches where some
+    window contains ALL terms in any order; tf = number of MINIMAL
+    such windows (windows containing no smaller qualifying window)
+    whose gap count (width − n) is ≤ ``max_gaps``. This is the
+    n-term unordered matcher search_span_near(in_order=False)
+    deliberately does not restate (it is pinned to 2 terms).
+
+    Vectorized minimal-window enumeration, no per-doc loop: encode
+    (doc, pos) as one int64 key; every query-term occurrence is a
+    candidate window END; for each term, prev_t(end) = its latest
+    occurrence ≤ end (ONE searchsorted per term over all ends);
+    window start S(end) = min_t prev_t(end) — since the end token is
+    itself a query term, max_t prev_t(end) = end, so [S(end), end]
+    is the tightest window ending there. S(end) is non-decreasing in
+    end, so a window contains another iff their S ties — minimality
+    = keep the FIRST end per distinct S (one np.unique).
+
+    Scored like search_span_near: idf summed per term, weight-1
+    windows, BM25 tf saturation (deviation from Lucene's
+    1/(1+slop) sloppyFreq, pinned by the SQL oracle)."""
+    sterms = sorted(set(terms))
+    if len(sterms) < 2:
+        raise ValueError("intervals needs >= 2 distinct terms")
+    if max_gaps < 0:
+        raise ValueError("max_gaps must be >= 0")
+    return s._topk(k, _intervals_topk, sterms, max_gaps, k, s._gdfs(sterms))
+
+
 # -- highlighting ---------------------------------------------------------------
 
 
@@ -904,7 +1273,7 @@ def _multiterm_partial(s, expand, args: tuple, k: int, cap: int | None) -> tuple
     terms = expand(s, *args)
     if cap is not None and len(terms) > cap:
         return np.empty(0, np.int64), terms
-    return s._constant_score_union(terms, k)[0], None if cap is None else terms
+    return s._match_union(terms)[:k], None if cap is None else terms
 
 
 def _multiterm(s, k: int, cap: int | None, what: str, expand, *args) -> tuple:
@@ -948,6 +1317,34 @@ def search_wildcard(s, pattern: str, k: int = 10) -> tuple:
     return _multiterm(s, k, None, "", _wildcard_terms, pattern)
 
 
+def _infix_terms(s, needle: str, n: int) -> list[str]:
+    """Dictionary terms containing ``needle``: the needle's covering
+    grams intersect to a candidate term set, each verified by a real
+    substring check (the gram conjunction over-approximates)."""
+    m = s._ngram_term_map(n)
+    cand: np.ndarray | None = None
+    for i in range(len(needle) - n + 1):
+        tids = m.get(needle[i : i + n])
+        if tids is None or tids.size == 0:
+            return []
+        cand = tids if cand is None else np.intersect1d(cand, tids, assume_unique=True)
+        if cand.size == 0:
+            return []
+    return [str(s._gterms[t]) for t in cand if needle in str(s._gterms[t])]
+
+
+def search_infix_ngram(s, needle: str, k: int = 10, *, n: int = 3) -> tuple:
+    """Infix (contains) wildcard accelerated by the dictionary n-gram
+    map — the ES `wildcard` field type's query plan: candidate terms
+    come from the gram map (no dictionary scan), then take the standard
+    CONSTANT_SCORE multi-term union. Results are identical to
+    search_wildcard("*needle*"); needles shorter than the gram width
+    fall back to that scan path."""
+    if len(needle) < n:
+        return search_wildcard(s, f"*{needle}*", k)
+    return _multiterm(s, k, None, "", _infix_terms, needle, n)
+
+
 def _regexp_terms(s, pattern: str) -> list[str]:
     m = re.match(r"[^.?*+(){}\[\]|\\^$]*", pattern)
     rx = re.compile(pattern)
@@ -960,10 +1357,6 @@ def search_regexp(s, pattern: str, k: int = 10) -> tuple:
     pattern, narrowed to the pattern's leading-literal prefix range
     before the per-term match (the FST-intersection analogue)."""
     return _multiterm(s, k, None, "", _regexp_terms, pattern)
-
-
-def _fuzzy_terms(s, term: str, max_edits: int, prefix_length: int) -> list[str]:
-    return s.expand_fuzzy(term, max_edits, prefix_length)
 
 
 def search_fuzzy(
@@ -981,6 +1374,46 @@ def search_fuzzy(
     are oracle-exact). ``max_expansions`` raises rather than silently
     truncating."""
     return _multiterm(
-        s, k, max_expansions, f"fuzzy {term!r}", _fuzzy_terms, term,
+        s, k, max_expansions, f"fuzzy {term!r}", expand_fuzzy, term,
         max_edits, prefix_length,
     )
+
+
+# -- explain ---------------------------------------------------------------------
+
+
+def _explain_partial(s, sterms: list[str], doc_id: int) -> list[tuple]:
+    """(term, tf, tf-norm) of each term this shard's postings hold
+    ``doc_id`` for — the tf-norm cached at decode, the value
+    search_bm25 scores with."""
+    out = []
+    for t in sterms:
+        docs, tfs, _, tfn = s.postings_full(t)
+        pos = np.searchsorted(docs, doc_id)
+        if pos < docs.size and docs[pos] == doc_id:
+            out.append((t, int(tfs[pos]), float(tfn[pos])))
+    return out
+
+
+def explain_bm25(s, terms: list[str], doc_id: int) -> list[dict]:
+    """_explain API (OpenSearch TransportExplainAction for a BM25
+    text query): the per-term score breakdown for ONE (query, doc)
+    pair — tf, df, idf, the tf-norm, and the per-term contribution,
+    summing to the search_bm25 score (the same cached tf-norm and the
+    global df). Per-term postings seek; no scoring of other docs. Only
+    the doc's own shard holds a row."""
+    sterms = sorted(set(terms))
+    dfs = dict(zip(sterms, s._gdfs(sterms).tolist()))
+    out = []
+    for part in s._all(_explain_partial, sterms, int(doc_id)):
+        for t, tf, tfn in part:
+            idf = float(bm25_idf(np.asarray([max(dfs[t], 1e-9)]), s.n_docs)[0])
+            out.append({
+                "term": t,
+                "tf": tf,
+                "df": int(dfs[t]),
+                "idf": idf,
+                "tf_norm": tfn,
+                "contribution": idf * tfn,
+            })
+    return out

@@ -30,7 +30,7 @@ from ..index.codec import varint_decode
 from ..index.forward import ShardForward
 from ..index.manifest import IndexManifest
 from ..index.seismic import SEISMIC_DIR
-from .engine import topk_desc
+from .bm25 import topk_desc
 from .sparse import query_cut
 
 

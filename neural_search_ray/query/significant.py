@@ -33,6 +33,8 @@ from collections import defaultdict
 
 import numpy as np
 
+from .aggs import _held
+
 __all__ = [
     "significant_terms",
     "significant_text",
@@ -85,6 +87,13 @@ def significant_partial(searcher, terms: list[str]) -> tuple[dict, int]:
     return fg_map_for_docs(searcher, docs), int(docs.size)
 
 
+def _sample_partial(searcher, docs: np.ndarray) -> tuple[dict, int]:
+    """``significant_partial`` over the docs of a global sample this
+    shard holds."""
+    docs = _held(searcher, docs)
+    return fg_map_for_docs(searcher, docs), int(docs.size)
+
+
 def combine_significant(
     partials: list[tuple[dict, int]],
     bg_df_fn,
@@ -129,26 +138,30 @@ def combine_significant(
     )
 
 
+def _significant(s, parts: list, size: int, min_doc_count: int):
+    """JLH over the shard partials, background dfs from ``s._gdfs``."""
+    return combine_significant(
+        parts, lambda vocab: s._gdfs(vocab), s.n_docs, size, min_doc_count
+    )
+
+
 def significant_terms(
-    searcher,
+    s,
     terms: list[str],
     size: int = 10,
     min_doc_count: int = 1,
 ):
-    """Single-searcher significant_terms: top ``size`` terms of the
-    boolean-OR match set by (JLH score desc, term asc). Requires the
-    forward index (index/forward.py build_forward_index)."""
-    return combine_significant(
-        [significant_partial(searcher, terms)],
-        lambda vocab: [searcher.local_df(t) for t in vocab],
-        searcher.n_docs,
-        size,
-        min_doc_count,
-    )
+    """significant_terms: top ``size`` terms of the boolean-OR match set
+    by (JLH score desc, term asc). Per-shard (term, fg_df) maps merge by
+    sum and the background dfs are global, so the result is EXACT
+    across any sharding. Requires the forward index
+    (index/forward.py build_forward_index)."""
+    return _significant(s, s._all(significant_partial, terms), size,
+                        min_doc_count)
 
 
 def significant_text(
-    searcher,
+    s,
     terms: list[str],
     sample_size: int = 30,
     size: int = 10,
@@ -162,11 +175,6 @@ def significant_text(
     re-tokenizing. Sample membership is pinned by
     (round6(BM25) desc, doc_id) — the agg_sampler tie discipline — so
     the SQL oracle reproduces the same sample."""
-    docs, _ = searcher.search_bm25(terms, k=sample_size)
-    return combine_significant(
-        [(fg_map_for_docs(searcher, np.sort(docs)), int(docs.size))],
-        lambda vocab: [searcher.local_df(t) for t in vocab],
-        searcher.n_docs,
-        size,
-        min_doc_count,
-    )
+    docs, _ = s.search_bm25(terms, k=sample_size)
+    return _significant(s, s._all(_sample_partial, np.sort(docs)), size,
+                        min_doc_count)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import IndexSearcher, topk_desc
+from .bm25 import topk_desc
+from .engine import IndexSearcher
 
 
 def query_cut(token_weights: dict[str, float], top_n: int = 10) -> dict[str, float]:

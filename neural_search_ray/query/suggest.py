@@ -38,8 +38,8 @@ from ..analysis.analyzer import tokenize
 from .aggs import _sum_by_key
 
 __all__ = [
-    "agg_rare_terms", "levenshtein", "suggest_completion", "suggest_phrase",
-    "suggest_term", "terms_enum",
+    "agg_rare_terms", "expand_fuzzy", "levenshtein", "suggest_completion",
+    "suggest_completion_fuzzy", "suggest_phrase", "suggest_term", "terms_enum",
 ]
 
 
@@ -57,6 +57,33 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+def _edit_dp(cands, q: str, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levenshtein distances of ``q`` to every candidate's first
+    ``width`` characters: (distance to the whole candidate, minimum over
+    its non-empty prefixes). One DP column per candidate character j,
+    vectorized across candidates (a UTF-32 view) and query prefixes: the
+    insertion chain D[i] = min(D[i], D[i-1] + 1) is a running minimum of
+    D[i] − i, so the Python loop runs ``width`` times."""
+    n, nc = len(q), len(cands)
+    chars = np.array(cands, dtype=f"U{width}").view(np.uint32)
+    chars = chars.reshape(nc, width).T.copy()  # row j = every term's char j
+    lens = np.minimum(np.fromiter(map(len, cands), np.int64, nc), width)
+    qc = np.array([ord(c) for c in q], dtype=np.uint32)[:, None]
+    ramp = np.arange(n + 1, dtype=np.int32)[:, None]
+    col = np.repeat(ramp, nc, axis=1)  # D over query prefixes, j = 0
+    full = col[n].copy()
+    best = np.full(nc, np.iinfo(np.int32).max, dtype=np.int32)
+    for j in range(1, width + 1):
+        nxt = np.empty_like(col)
+        nxt[0] = j
+        np.minimum(col[1:] + 1, col[:-1] + (chars[j - 1] != qc), out=nxt[1:])
+        col = np.minimum.accumulate(nxt - ramp, axis=0) + ramp
+        alive = j <= lens
+        best = np.where(alive, np.minimum(best, col[n]), best)
+        full = np.where(j == lens, col[n], full)
+    return full, best
+
+
 def _round6(x: float) -> float:
     return (
         math.floor(x * 1e6 + 0.5) / 1e6
@@ -66,6 +93,34 @@ def _round6(x: float) -> float:
 
 
 # -- shard partials ----------------------------------------------------------
+
+
+def expand_fuzzy(
+    s, term: str, max_edits: int = 2, prefix_length: int = 0
+) -> list[str]:
+    """This shard's dictionary terms within Levenshtein distance
+    ``max_edits`` of ``term`` that share its first ``prefix_length``
+    characters — the Lucene FuzzyQuery term enumeration
+    (LevenshteinAutomata walked over the FST), restated as a
+    prefix-range + length prefilter + one DP vectorized across all
+    candidate terms (``_edit_dp``).
+
+    Plain Levenshtein (no transpositions): Lucene's default counts a
+    transposition as ONE edit (damerau); we use the classic metric so
+    the DuckDB ``levenshtein()`` oracle is exact. Documented
+    deviation: a transposed pair costs 2 here vs 1 in Lucene."""
+    if max_edits < 0:
+        raise ValueError("max_edits must be >= 0")
+    if prefix_length > 0:
+        cands = s.expand_prefix(term[:prefix_length])
+    else:
+        cands = [str(t) for t in s._gterms]
+    qlen = len(term)
+    cands = [t for t in cands if abs(len(t) - qlen) <= max_edits]
+    if not cands or qlen == 0:
+        return [t for t in cands if len(t) <= max_edits]
+    dist, _ = _edit_dp(cands, term, max(map(len, cands)))
+    return [cands[i] for i in np.flatnonzero(dist <= max_edits)]
 
 
 def _dict_slice(s, prefix: str) -> tuple[np.ndarray, np.ndarray]:
@@ -84,13 +139,29 @@ def _rare_partial(s, max_doc_count: int) -> tuple[np.ndarray, np.ndarray]:
     return s._gterms[sel], s._gdf[sel]
 
 
+def _fuzzy_completion_partial(
+    s, anchor: str, prefix: str, fuzziness: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(terms, local dfs, distances) of this shard's dictionary terms
+    starting with ``anchor`` that SOME prefix of is within
+    ``fuzziness`` edits of ``prefix`` — the DP runs on the shard, so
+    only matches travel (a term's distance does not depend on its
+    shard)."""
+    terms, dfs = _dict_slice(s, anchor)
+    if not len(terms):
+        return terms, dfs, np.empty(0, np.int64)
+    _, best = _edit_dp(terms, prefix, len(prefix) + fuzziness)
+    keep = np.flatnonzero(best <= fuzziness)
+    return terms[keep], dfs[keep], best[keep].astype(np.int64)
+
+
 def _fuzzy_partial(
     s, tokens: list[str], max_edits: int, prefix_length: int
 ) -> list[list[str]]:
     """Per token, this shard's dictionary terms within ``max_edits``,
     the token itself excluded."""
     return [
-        [t for t in s.expand_fuzzy(tok, max_edits, prefix_length) if t != tok]
+        [t for t in expand_fuzzy(s, tok, max_edits, prefix_length) if t != tok]
         for tok in tokens
     ]
 
@@ -139,6 +210,45 @@ def suggest_completion(
     if size is not None:
         order = order[:size]
     return [str(t) for t in terms[order]], weights[order]
+
+
+def suggest_completion_fuzzy(
+    s,
+    prefix: str,
+    size: int | None = 5,
+    *,
+    fuzziness: int = 1,
+    prefix_length: int = 1,
+    min_length: int = 3,
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Fuzzy completion suggester (ES completion ``fuzzy`` option /
+    Lucene FuzzyCompletionQuery analogue): a dictionary term matches
+    when SOME prefix of it is within ``fuzziness`` edits of the query
+    prefix. Pinned semantics (documented deviations from Lucene's
+    automaton scoring): the first ``prefix_length`` characters must
+    match exactly (the candidate set stays a binary-search dictionary
+    range, never a scan); prefixes shorter than ``min_length`` fall
+    back to exact completion; results order by (edit distance asc,
+    weight desc, term asc) and weight = df. The candidates are the
+    union of the shards' matches with global dfs, and the
+    minimum-over-prefixes distance is ``_edit_dp`` over the first
+    len(prefix) + fuzziness characters. Returns (terms, weights,
+    distances)."""
+    if fuzziness < 0 or prefix_length < 0:
+        raise ValueError("fuzziness and prefix_length must be >= 0")
+    if len(prefix) < min_length or fuzziness == 0:
+        terms, weights = suggest_completion(s, prefix, size)
+        return terms, weights, np.zeros(len(terms), np.int64)
+    anchor = prefix[: min(prefix_length, len(prefix))]
+    parts = s._all(_fuzzy_completion_partial, anchor, prefix, fuzziness)
+    dist = {t: d for p in parts for t, d in zip(p[0].tolist(), p[2].tolist())}
+    terms, weights = _sum_by_key([p[:2] for p in parts])
+    terms = np.asarray(terms, dtype=object)
+    best = np.fromiter((dist[t] for t in terms), np.int64, len(terms))
+    order = np.lexsort((terms, -weights, best))
+    if size is not None:
+        order = order[:size]
+    return [str(t) for t in terms[order]], weights[order], best[order]
 
 
 def agg_rare_terms(

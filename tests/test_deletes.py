@@ -21,7 +21,8 @@ from neural_search_ray.index.deletes import (
     purge_deletes,
 )
 from neural_search_ray.index.manifest import IndexManifest
-from neural_search_ray.query.engine import IndexSearcher, topk_desc
+from neural_search_ray.query.bm25 import topk_desc
+from neural_search_ray.query.engine import IndexSearcher
 
 QUERIES = ["data query", "merge sort window", "the fast join", "vector search"]
 CFG = IndexConfig(num_shards=4, num_salts=2)

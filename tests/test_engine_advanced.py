@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from neural_search_ray.config import IndexConfig
 from neural_search_ray.corpus.generator import generate_pages
 from neural_search_ray.index.build import build_index
-from neural_search_ray.query.engine import IndexSearcher, topk_desc
+from neural_search_ray.query.bm25 import topk_desc
+from neural_search_ray.query.engine import IndexSearcher
 
 from tests.oracle import OracleIndex
 

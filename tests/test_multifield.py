@@ -326,7 +326,7 @@ def test_combined_fields_global_stats_shard_identity(mf, tmp_path_factory):
         parts.append((d, s))
     docs = np.concatenate([p[0] for p in parts])
     scores = np.concatenate([p[1] for p in parts])
-    from neural_search_ray.query.engine import topk_desc
+    from neural_search_ray.query.bm25 import topk_desc
 
     md, ms = topk_desc(docs, scores, 10)
     assert md.tolist() == full_d.tolist()

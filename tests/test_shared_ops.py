@@ -1,11 +1,12 @@
-"""One definition per aggregation, dictionary and scoring op:
-``IndexSearcher`` and ``DistributedSearcher`` bind the same function
-(query/aggs.py, query/suggest.py, query/scoring.py and the query-string
-grammars), and give identical results — values and types, scores bit for
-bit — at 1 and 3 shard hosts, over matching, empty and out-of-vocabulary
-inputs."""
+"""One definition per search-time op: ``IndexSearcher`` and
+``DistributedSearcher`` inherit one op list (query/ops.py) of functions
+defined once (query/aggs.py, query/suggest.py, query/significant.py,
+query/scoring.py and the query-string grammars), and give identical
+results — values and types, scores bit for bit — at 1 and 3 shard hosts,
+over matching, empty and out-of-vocabulary inputs."""
 
 import ast
+import inspect
 import math
 import os
 
@@ -20,9 +21,13 @@ from neural_search_ray.agg.sketches import HyperLogLog, hash64
 from neural_search_ray.config import IndexConfig
 from neural_search_ray.index.build import build_index
 from neural_search_ray.index.docvalues import build_doc_values
-from neural_search_ray.query import aggs, queryparser, querystring, scoring, suggest
+from neural_search_ray.index.forward import build_forward_index
+from neural_search_ray.query import (
+    aggs, queryparser, querystring, scoring, significant, suggest,
+)
 from neural_search_ray.query.distributed import DistributedSearcher
 from neural_search_ray.query.engine import IndexSearcher
+from neural_search_ray.query.scripts import SCORE_SCRIPTS
 
 QUERY_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -31,24 +36,27 @@ QUERY_DIR = os.path.join(
 
 # op name → the function both searchers bind
 SHARED = {
-    "facet_terms": aggs.facet_terms,
-    "facet_top_hits": aggs.facet_top_hits,
-    "agg_composite": aggs.agg_composite,
-    "agg_extended_stats": aggs.agg_extended_stats,
-    "agg_t_test": aggs.agg_t_test,
-    "agg_matrix_stats": aggs.agg_matrix_stats,
-    "agg_range": aggs.agg_range,
-    "agg_filters": aggs.agg_filters,
-    "agg_adjacency_matrix": aggs.agg_adjacency_matrix,
-    "agg_cardinality": aggs.agg_cardinality,
-    "agg_string_stats": aggs.agg_string_stats,
-    "agg_scripted_metric": aggs.agg_scripted_metric,
-    "terms_enum": suggest.terms_enum,
-    "agg_rare_terms": suggest.agg_rare_terms,
-    "suggest_term": suggest.suggest_term,
-    "suggest_completion": suggest.suggest_completion,
-    "suggest_phrase": suggest.suggest_phrase,
+    name: getattr(aggs, name)
+    for name in (
+        "facet_terms", "facet_top_hits", "agg_composite", "agg_multi_terms",
+        "agg_histogram", "agg_terms_stats", "agg_stats", "agg_extended_stats",
+        "agg_sampler", "agg_t_test", "agg_matrix_stats", "agg_range",
+        "agg_weighted_avg", "agg_top_metrics", "agg_filters",
+        "agg_adjacency_matrix", "agg_cardinality", "agg_percentiles",
+        "agg_percentile_ranks", "agg_mad", "agg_boxplot", "agg_string_stats",
+        "agg_scripted_metric",
+    )
 }
+SHARED.update({
+    name: getattr(suggest, name)
+    for name in ("terms_enum", "agg_rare_terms", "suggest_term",
+                 "suggest_completion", "suggest_completion_fuzzy",
+                 "suggest_phrase")
+})
+SHARED.update({
+    name: getattr(significant, name)
+    for name in ("significant_terms", "significant_text")
+})
 # the scoring ops: global stats through the searcher context, one shard kernel
 SCORING = {
     name: getattr(scoring, name)
@@ -56,22 +64,38 @@ SCORING = {
         "search_phrase", "search_phrase_prefix", "search_bool",
         "search_terms_set", "search_synonym", "search_dis_max",
         "search_decay", "search_boosting", "search_rank_feature",
-        "search_function_score", "search_distance_feature", "search_pinned",
-        "search_lm", "search_span_or", "search_span_within",
-        "search_span_containing", "highlight_best_window", "search_prefix",
-        "search_wildcard", "search_regexp", "search_fuzzy",
+        "search_function_score", "search_distance_feature",
+        "search_script_score", "search_pinned", "search_ids", "search_range",
+        "search_sparse_dot", "search_lm", "search_span_first",
+        "search_span_not", "search_span_near", "search_span_multi",
+        "search_span_or", "search_span_within", "search_span_containing",
+        "search_intervals", "highlight_best_window", "explain_bm25",
+        "search_prefix", "search_wildcard", "search_infix_ngram",
+        "search_regexp", "search_fuzzy",
     )
 }
 SCORING["search_query_string"] = queryparser.search_query_string
 SCORING["search_simple_query_string"] = querystring.search_simple_query_string
 SCORING["search_match_bool_prefix"] = querystring.search_match_bool_prefix
 SHARED.update(SCORING)
-# the t-digest tier: DistributedSearcher's op, IndexSearcher's method="tdigest"
-TDIGEST = {
-    "agg_percentiles": aggs.tdigest_percentiles,
-    "agg_percentile_ranks": aggs.tdigest_percentile_ranks,
-    "agg_mad": aggs.tdigest_mad,
-    "agg_boxplot": aggs.tdigest_boxplot,
+# bound on IndexSearcher only: a dictionary expansion over one shard, and
+# two aggs whose merge over shards is not exact
+LOCAL = {
+    "expand_fuzzy": suggest.expand_fuzzy,
+    "agg_diversified_sampler": aggs.agg_diversified_sampler,
+    "agg_variable_width": aggs.agg_variable_width,
+}
+# the quantile aggs: exact in-process, the t-digest tier on a pool, whose
+# merged shard digests are a different (equally valid) sketch of the values
+QUANTILES = {"agg_percentiles", "agg_percentile_ranks", "agg_mad", "agg_boxplot"}
+# IndexSearcher's own surface: the reader (open, postings, doc values,
+# dictionary and stats lookups, the BM25 hot path) — everything else public
+# is an op defined once under query/
+READER = {
+    "doc_values", "accepted_ids", "field_values", "field_array", "local_df",
+    "doc_length", "postings_full", "postings", "postings_positions",
+    "warm_terms", "clear_caches", "search_bm25", "expand_prefix",
+    "match_docs", "total_tokens", "collection_freq",
 }
 
 
@@ -93,7 +117,8 @@ def _nullable(batch: pa.Table) -> pa.Table:
 def searchers(tmp_path_factory, sf_dir, ray_session):
     """(IndexSearcher, {1: DistributedSearcher(1), 3: DistributedSearcher(3)})
     over one 4-doc-shard positional index with (lang, n_chars, n_opt,
-    lang_opt) doc-values and the unigram LM the phrase suggester takes."""
+    lang_opt) doc-values, a forward index and the unigram LM the phrase
+    suggester takes."""
     from neural_search_ray.textstats.lm import fit_unigram_lm
 
     d = str(tmp_path_factory.mktemp("shared_ops"))
@@ -105,6 +130,7 @@ def searchers(tmp_path_factory, sf_dir, ray_session):
             _nullable, batch_format="pyarrow"),
         d, num_shards=4,
     )
+    build_forward_index(d)
     lm = fit_unigram_lm(docs.select_columns(["doc_id", "text"]))[:2]
     pools = {n: DistributedSearcher(d, num_actors=n) for n in (1, 3)}
     yield IndexSearcher(d), pools, lm
@@ -112,7 +138,8 @@ def searchers(tmp_path_factory, sf_dir, ray_session):
         p.shutdown()
 
 
-def test_each_op_has_one_definition_bound_on_both_searchers():
+def _query_defs() -> dict[str, int]:
+    """How many times each function name is defined under query/."""
     defs: dict[str, int] = {}
     for f in os.listdir(QUERY_DIR):
         if f.endswith(".py"):
@@ -120,16 +147,39 @@ def test_each_op_has_one_definition_bound_on_both_searchers():
                 for node in ast.walk(ast.parse(fh.read())):
                     if isinstance(node, ast.FunctionDef):
                         defs[node.name] = defs.get(node.name, 0) + 1
+    return defs
+
+
+def test_each_op_has_one_definition_bound_on_both_searchers():
+    """The ops are inherited, so the binding is read with
+    ``inspect.getattr_static`` (``__dict__`` holds only a class's own)."""
+    defs = _query_defs()
     for name, fn in SHARED.items():
         assert defs.get(name) == 1, name
-        assert IndexSearcher.__dict__[name] is fn, name
-        assert DistributedSearcher.__dict__[name] is fn, name
-    for name, fn in TDIGEST.items():
-        assert defs.get(fn.__name__) == 1, fn.__name__
-        assert DistributedSearcher.__dict__[name] is fn, name
+        assert inspect.getattr_static(IndexSearcher, name) is fn, name
+        assert inspect.getattr_static(DistributedSearcher, name) is fn, name
+    for name, fn in LOCAL.items():
+        assert defs.get(name) == 1, name
+        assert inspect.getattr_static(IndexSearcher, name) is fn, name
+        assert not hasattr(DistributedSearcher, name), name
     for helper in ("_all", "_topk", "_gdfs", "_gcfs"):
         assert helper in IndexSearcher.__dict__
         assert hasattr(DistributedSearcher, helper)
+
+
+def test_index_searcher_is_a_reader_plus_the_op_list():
+    """Every public callable on ``IndexSearcher`` is a reader method or a
+    function defined exactly once under query/."""
+    defs = _query_defs()
+    for name in dir(IndexSearcher):
+        attr = inspect.getattr_static(IndexSearcher, name)
+        if name.startswith("_") or not callable(attr):
+            continue
+        if name in READER:
+            assert name in IndexSearcher.__dict__, name
+        else:
+            assert defs.get(getattr(attr, "__name__", None)) == 1, name
+            assert attr.__name__ == name, name
 
 
 MATCH, EMPTY, OOV = ["data", "query"], [], ["zzznope"]
@@ -155,12 +205,24 @@ def _cases(t: list[str], lm) -> dict:
             ((t, [("terms", "lang_opt")]), {}),
             ((t, [("terms", "lang"), ("histogram", "n_opt", 100)]), {}),
         ],
-        "agg_extended_stats": [((t, "n_chars"), {})],
+        "agg_multi_terms": [((t, ["lang", "n_chars"]), {}),
+                            ((t, ["lang_opt", "n_opt"]), {"size": None})],
+        "agg_histogram": [((t, "n_chars", 50), {}), ((t, "n_opt", 100), {})],
+        "agg_terms_stats": [((t, "lang", "n_chars"), {}), ((t, "lang", "n_opt"), {}),
+                            ((t, "lang_opt", "_dl"), {})],
+        "agg_stats": [((t, "n_chars"), {}), ((t, "n_opt"), {})],
+        "agg_extended_stats": [((t, "n_chars"), {}), ((t, "n_opt"), {})],
+        "agg_sampler": [((t, "n_chars", 40), {}), ((t, "n_opt"), {})],
+        "agg_weighted_avg": [((t, "n_chars"), {}), ((t, "n_opt", "n_chars"), {})],
+        "agg_top_metrics": [((t, "n_chars"), {"size": 5}),
+                            ((t, "n_opt", "n_chars"), {}),
+                            ((t, "_dl", "n_opt"), {"size": 7})],
         "agg_t_test": [((t, ["the"], "n_chars"), {}),
                        ((t, ["the"], "n_chars"), {"mode": "homoscedastic"})],
-        "agg_matrix_stats": [((t, "n_chars"), {})],
-        "agg_range": [((t, "n_chars", [(None, 150), (150, 300), (300, None),
-                                       (100, 400)]), {})],
+        "agg_matrix_stats": [((t, "n_chars"), {}), ((t, "n_opt", "n_chars"), {})],
+        "agg_range": [((t, field, [(None, 150), (150, 300), (300, None),
+                                   (100, 400)]), {})
+                      for field in ("n_chars", "n_opt")],
         "agg_filters": [((t, F), {})],
         "agg_adjacency_matrix": [((t, F), {})],
         "agg_cardinality": [
@@ -176,12 +238,17 @@ def _cases(t: list[str], lm) -> dict:
         "suggest_term": [((word[:5] + "x",), {"suggest_mode": m})
                          for m in ("missing", "popular", "always")],
         "suggest_completion": [((word[:2],), {}), ((word[:1],), {"size": None})],
+        "suggest_completion_fuzzy": [((word[:4].replace("a", "e"),), {}),
+                                     ((word[:5],), {"size": None, "fuzziness": 2,
+                                                    "prefix_length": 0})],
+        "significant_terms": [((t,), {}), ((t, 20, 3), {})],
+        "significant_text": [((t,), {}), ((t, 40, 15), {})],
         "suggest_phrase": [((*lm, word.replace("a", "e")),
                             {"size": 3, "max_edits": 2})],
-        "agg_percentiles": [((t, "n_chars"), {})],
-        "agg_percentile_ranks": [((t, "n_chars", (150.0, 300.0)), {})],
-        "agg_mad": [((t, "n_chars"), {})],
-        "agg_boxplot": [((t, "n_chars"), {})],
+        "agg_percentiles": [((t, f), {"method": "tdigest"}) for f in ("n_chars", "n_opt")],
+        "agg_percentile_ranks": [((t, "n_chars", (150.0, 300.0)), {"method": "tdigest"})],
+        "agg_mad": [((t, "n_opt"), {"method": "tdigest"})],
+        "agg_boxplot": [((t, "n_chars"), {"method": "tdigest"})],
         **_scoring_cases(t),
     }
 
@@ -211,6 +278,23 @@ def _scoring_cases(t: list[str]) -> dict:
         "search_distance_feature": [((t, "n_chars"),
                                      {"origin": 250.0, "pivot": 50.0})],
         "search_pinned": [(([7, 3, 10**9, 3], t, 10), {}), (([5], t, 1), {})],
+        "search_script_score": [((t, SCORE_SCRIPTS["length_norm"]("n_chars")), {})],
+        "search_ids": [(([7, 3, 10**9, 3, 250, 1],), {"k": 4}), (([],), {})],
+        "search_range": [(("n_chars", 100 + len(word), 300), {"k": 20}),
+                         (("n_opt", 100, 300 + len(word)), {"k": 500})],
+        "search_sparse_dot": [(({w: 1.5 - 0.25 * i for i, w in enumerate(t)},),
+                               {"k": 20})],
+        "search_span_first": [((t[0] if t else "data", 6), {}),
+                              ((t[-1] if t else "zzznope", 40, 20), {})],
+        "search_span_not": [((t[0] if t else "data", "the"), {"pre": 2, "post": 3})],
+        "search_span_near": [((t + ["the"],), {"slop": 4}),
+                             ((t[:2],), {"slop": 2, "in_order": False})
+                             if len(t) == 2 else ((t,), {})],
+        "search_span_multi": [(([("term", w) for w in t[:-1]] + [("prefix", pfx[-1])],),
+                               {"slop": 2})] if t else [],
+        "search_intervals": [((t + ["the"],), {"max_gaps": 6})] if t else [],
+        "explain_bm25": [((t + ["the"], d), {}) for d in (0, 7, 250, 499)],
+        "search_infix_ngram": [((word[1:4],), {"k": 30}), ((word[1:3],), {})],
         "search_lm": [((t, 10), {"similarity": m})
                       for m in ("dirichlet", "jelinek_mercer", "dfi")],
         "search_span_or": [((t, 10), {})],
@@ -260,36 +344,50 @@ def _assert_same(got, want, where: str) -> None:
 
 @pytest.mark.parametrize("num_actors", [1, 3])
 @pytest.mark.parametrize("kind", ["match", "empty", "oov"])
-@pytest.mark.parametrize("op", sorted(SHARED) + sorted(TDIGEST))
+@pytest.mark.parametrize("op", sorted(SHARED))
 def test_index_and_distributed_searchers_agree(searchers, op, kind, num_actors):
     single, pools, lm = searchers
     dist = pools[num_actors]
     terms = {"match": MATCH, "empty": EMPTY, "oov": OOV}[kind]
     for args, kwargs in _cases(terms, lm)[op]:
         where = f"{op}{args[:1]}{kwargs}"
-        if op in TDIGEST:
-            want = getattr(single, op)(*args, method="tdigest", **kwargs)
-            got = getattr(dist, op)(*args, **kwargs)
-            if num_actors > 1:
-                # merged shard digests are a different (equally valid)
-                # sketch of the same values: same shape, close values
-                assert type(got) is type(want), where
-                np.testing.assert_allclose(
-                    np.asarray(list(got.values()) if isinstance(got, dict)
-                               else got, dtype=np.float64),
-                    np.asarray(list(want.values()) if isinstance(want, dict)
-                               else want, dtype=np.float64),
-                    rtol=0.1, atol=5.0, err_msg=where,
-                )
-                continue
-        else:
-            want = getattr(single, op)(*args, **kwargs)
-            got = getattr(dist, op)(*args, **kwargs)
+        want = getattr(single, op)(*args, **kwargs)
+        got = getattr(dist, op)(*args, **kwargs)
+        if op in QUANTILES and num_actors > 1:
+            # merged shard digests are a different (equally valid)
+            # sketch of the same values: same shape, close values
+            assert type(got) is type(want), where
+            np.testing.assert_allclose(
+                np.asarray(list(got.values()) if isinstance(got, dict)
+                           else got, dtype=np.float64),
+                np.asarray(list(want.values()) if isinstance(want, dict)
+                           else want, dtype=np.float64),
+                rtol=0.1, atol=5.0, err_msg=where,
+            )
+            continue
         if op == "agg_matrix_stats":
             # skewness/kurtosis need co-located values: in-process only
             want = {k: v for k, v in want.items()
                     if k not in ("skew_x", "kurt_x")}
         _assert_same(got, want, where)
+
+
+@pytest.mark.parametrize("op", sorted(QUANTILES))
+def test_quantile_tier_follows_co_location(searchers, op):
+    """The quantile aggs default to exact in-process and to the t-digest
+    tier on a pool, which refuses the exact tier before any fan-out."""
+    single, pools, lm = searchers
+    (args, kwargs), = _cases(MATCH, lm)[op][:1]
+    dist = pools[3]
+    tdigest = getattr(dist, op)(*args, **kwargs)
+    _assert_same(getattr(dist, op)(*args), tdigest, op)
+    exact = getattr(single, op)(*args, method="exact")
+    _assert_same(getattr(single, op)(*args), exact, op)
+    with pytest.raises(ValueError, match="exact"):
+        getattr(dist, op)(*args, method="exact")
+    for s in (single, dist):
+        with pytest.raises(ValueError, match="method"):
+            getattr(s, op)(*args, method="nope")
 
 
 def test_distributed_suggest_term_popular(searchers):
@@ -388,3 +486,83 @@ def test_bucket_aggs_skip_docs_without_a_value(searchers, sf_dir):
         assert len(buckets) == sum(min(2, c) for c in per_value.values())
     assert single.agg_multi_terms(
         MATCH, ["lang_opt", "lang"], size=None)[1].sum() == n_lang
+
+
+class _WithValue(IndexSearcher):
+    """The same index with the match set cut to the docs that have a
+    value in ``field`` — the reference a null-skipping agg must equal."""
+
+    def __init__(self, index_dir: str, field: str):
+        super().__init__(index_dir)
+        vals = self.field_values(self._dl_doc_ids, field)
+        self._has = self._dl_doc_ids[vals.is_valid().to_numpy(zero_copy_only=False)]
+
+    def _match_union(self, terms):
+        docs = super()._match_union(terms)
+        return docs[np.isin(docs, self._has)]
+
+
+def test_aggs_skip_docs_without_a_value(searchers):
+    """A numeric or bucket agg over a nullable field (n_opt / lang_opt)
+    equals the same agg over only the docs that have a value, computed on
+    the null-free copy of the field (n_chars / lang)."""
+    single, _, _ = searchers
+    n_only = _WithValue(single.index_dir, "n_opt")
+    lang_only = _WithValue(single.index_dir, "lang_opt")
+    assert 0 < n_only._has.size < single._dl_doc_ids.size
+    assert 0 < lang_only._has.size < single._dl_doc_ids.size
+    m = MATCH
+    # (op, args on the nullable field, args on the null-free field, ref)
+    cases = [
+        ("agg_terms_stats", (m, "lang", "n_opt"), (m, "lang", "n_chars"), n_only),
+        ("agg_terms_stats", (m, "lang_opt", "n_chars"), (m, "lang", "n_chars"),
+         lang_only),
+        ("agg_top_metrics", (m, "n_opt", "n_opt", 5), (m, "n_chars", "n_chars", 5),
+         n_only),
+        ("agg_variable_width", (m, "n_opt"), (m, "n_chars"), n_only),
+        ("agg_percentiles", (m, "n_opt"), (m, "n_chars"), n_only),
+        ("agg_percentile_ranks", (m, "n_opt", (150.0, 300.0)),
+         (m, "n_chars", (150.0, 300.0)), n_only),
+        ("agg_mad", (m, "n_opt"), (m, "n_chars"), n_only),
+        ("agg_boxplot", (m, "n_opt"), (m, "n_chars"), n_only),
+        ("agg_stats", (m, "n_opt"), (m, "n_chars"), n_only),
+        ("agg_extended_stats", (m, "n_opt"), (m, "n_chars"), n_only),
+        ("agg_t_test", (m, ["the"], "n_opt"), (m, ["the"], "n_chars"), n_only),
+        ("agg_matrix_stats", (m, "n_opt", "n_chars"), (m, "n_chars", "n_chars"),
+         n_only),
+        ("agg_range", (m, "n_opt", [(None, 150), (150, None)]),
+         (m, "n_chars", [(None, 150), (150, None)]), n_only),
+        ("agg_weighted_avg", (m, "n_opt"), (m, "n_chars"), n_only),
+        ("agg_histogram", (m, "n_opt", 50), (m, "n_chars", 50), n_only),
+        ("agg_diversified_sampler", (m, "lang_opt", "lang"), (m, "lang", "lang"),
+         lang_only),
+    ]
+    for op, args, ref_args, ref in cases:
+        _assert_same(getattr(single, op)(*args), getattr(ref, op)(*ref_args), op)
+    for method in ("exact", "tdigest"):
+        _assert_same(single.agg_percentiles(m, "n_opt", method=method),
+                     n_only.agg_percentiles(m, "n_chars", method=method), method)
+
+
+def test_aligned_field_reads_reject_nulls(searchers):
+    """A scoring op that needs a value per matched doc fails naming the
+    field instead of scoring a null."""
+    single, pools, _ = searchers
+    with pytest.raises(ValueError, match="n_opt"):
+        single.field_array(single._match_union(MATCH), "n_opt")
+    for s in (single, pools[1]):
+        with pytest.raises(ValueError, match="n_opt"):
+            s.search_decay(MATCH, "n_opt", origin=300.0, scale=100.0)
+
+
+def test_simple_query_string_applies_every_must_not(searchers):
+    """A must_not clause with no postings does not stop the later ones:
+    both clause orders exclude every doc holding "merge"."""
+    single, pools, _ = searchers
+    merge = set(single._match_union(["merge"]).tolist())
+    assert merge
+    for s in (single, *pools.values()):
+        a = s.search_simple_query_string("data -zzznope -merge", k=500)
+        b = s.search_simple_query_string("data -merge -zzznope", k=500)
+        _assert_same(a, b, "order")
+        assert a[0].size and not merge & set(a[0].tolist())
