@@ -3,7 +3,7 @@
 A brand-new engine (NOT a port) with the query and data-processing
 capabilities of the OpenSearch neural-search plugin (reference at
 /root/reference): inverted-index build (posting-list construction, merge,
-compression, block-max metadata), BM25 / sparse-dot-product top-k query
+compression), BM25 / sparse-dot-product top-k query
 execution, text chunking / analysis ingest stages, hybrid score
 normalization + combination, rerank, plus large-scale training-data
 pipeline operators (dedup, ANN, text quality, fingerprinting).

@@ -70,15 +70,13 @@ class BM25Config:
 class IndexConfig:
     """Inverted-index build parameters.
 
-    block_size=128 mirrors the north-star block-max spec; n_postings
-    mirrors the reference's static pruning default
+    n_postings mirrors the reference's static pruning default
     max(0.0005*maxDoc, 160) (sparse/codec/ClusteredPostingTermsWriter.java:136-142)
     — disabled (keep all postings) unless set >= 0.
     """
 
     num_shards: int = 8            # hash(term) % num_shards → output shard
     num_salts: int = 4             # docID-range salts for the posting shuffle
-    block_size: int = 128          # docs per block-max block
     n_postings: int = -1           # -1 = no static pruning; -2 = reference default formula
     # "none" = raw integer tfs; "u8" = the reference's quantized sparse
     # tier: weights are u8-quantized at ingest (ByteQuantizer.java:24-34,

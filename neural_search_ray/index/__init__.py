@@ -1,7 +1,7 @@
 from .codec import (  # noqa: F401
-    decode_postings,
-    decoder_for,
-    encode_postings,
+    PostingRows,
+    decode_rows,
+    encode_rows,
     for_decode,
     for_encode,
     varint_decode,

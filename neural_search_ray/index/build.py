@@ -34,8 +34,8 @@ Design points (scale rationale):
 - **Segments are the checkpoint/resume unit**: ``build_index`` with
   ``segment_id`` builds one input slice; re-running skips complete
   segments recorded in the manifest (per-partition lineage + metrics).
-- Final posting rows are delta+varint-compressed docIDs (codec.py) with
-  block-max tf metadata every ``block_size`` (=128) docs.
+- Final posting rows are written by codec.py's ``encode_rows``: one row
+  per term with delta-coded docIDs and tfs in the manifest's codec.
 """
 
 from __future__ import annotations
@@ -54,8 +54,14 @@ import ray.data
 
 from ..analysis.analyzer import analyze_column
 from ..config import IndexConfig
-from .codec import encode_postings, grouped_encoder_for
-from .manifest import DOCLEN_BUCKET, IndexManifest, SegmentManifest
+from .codec import doclen_table, encode_rows, posting_gather
+from .manifest import (
+    DOCLEN_BUCKET,
+    IndexManifest,
+    group_row,
+    group_rows_table,
+    segment_entry,
+)
 
 DOCLEN_TERM = ""  # analyzer never produces an empty token
 
@@ -151,19 +157,37 @@ def pack_partial_rows(
     return pa.table(cols, schema=schema)
 
 
+def doclen_partial_rows(
+    docs: np.ndarray, dls: np.ndarray, num_shards: int, index_positions: bool
+) -> pa.Table:
+    """Doc lengths as sentinel partial rows (term "", bucket
+    DOCLEN_BUCKET, tf := dl), one per shard present. Shared by the
+    tokenizing build and index/reshard.py's doc-length repack."""
+    order = np.lexsort((docs, docs % num_shards))
+    docs, dls = docs[order], dls[order]
+    shard = (docs % num_shards).astype(np.int32)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(shard) != 0) + 1))
+    return pack_partial_rows(
+        pa.array([DOCLEN_TERM] * starts.size, type=pa.string()),
+        np.diff(np.concatenate((starts, [shard.size]))),
+        shard[starts],
+        np.full(starts.size, DOCLEN_BUCKET, dtype=np.int32),
+        starts,
+        shard.size,
+        docs,
+        dls,
+        index_positions=index_positions,
+    )
+
+
 def make_tokenize_partial_postings(
     config: IndexConfig, id_column: str = "doc_id", text_column: str = "text"
 ):
     """Build the map_batches fn: batch of (doc_id, text) → partial postings."""
-    import functools
-
     num_shards = config.num_shards
     num_buckets = config.num_salts * config.num_shards  # term buckets per shard
     analyzer_cfg = config.analyzer
     index_positions = config.index_positions
-    _packed_rows = functools.partial(
-        pack_partial_rows, index_positions=index_positions
-    )
 
     def fn(batch: pa.Table) -> pa.Table:
         from ..runtime import ensure_worker_tuned
@@ -224,8 +248,6 @@ def make_tokenize_partial_postings(
             order = np.lexsort((p_doc, p_code, p_bucket, p_shard))
             run_pos_start = None
             if index_positions:
-                from .codec import posting_gather
-
                 pos_flat = pos_flat[posting_gather(post_tok_start, tf, order)]
             p_code, p_shard, p_bucket, p_doc, tf = (
                 p_code[order], p_shard[order], p_bucket[order],
@@ -241,7 +263,7 @@ def make_tokenize_partial_postings(
                 run_pos_start = excl[run_starts]
             g_codes = p_code[run_starts]
             parts.append(
-                _packed_rows(
+                pack_partial_rows(
                     uniques.take(pa.array(g_codes)).cast(pa.string()),
                     run_ends - run_starts,
                     p_shard[run_starts],
@@ -252,27 +274,12 @@ def make_tokenize_partial_postings(
                     tf,
                     pos_flat,
                     run_pos_start,
+                    index_positions=index_positions,
                 )
             )
 
-        # doc-length sentinel rows, one per shard present in this batch
-        dl_order = np.lexsort((doc_ids, (doc_ids % num_shards)))
-        d_doc = doc_ids[dl_order]
-        d_dl = lens[dl_order]
-        d_shard = (d_doc % num_shards).astype(np.int32)
-        change = np.flatnonzero(np.diff(d_shard) != 0)
-        starts = np.concatenate(([0], change + 1))
         parts.append(
-            _packed_rows(
-                pa.array([DOCLEN_TERM] * starts.size, type=pa.string()),
-                np.diff(np.concatenate((starts, [d_shard.size]))),
-                d_shard[starts],
-                np.full(starts.size, DOCLEN_BUCKET, dtype=np.int32),
-                starts,
-                d_shard.size,
-                d_doc,
-                d_dl,
-            )
+            doclen_partial_rows(doc_ids, lens, num_shards, index_positions)
         )
         return pa.concat_tables(parts)
 
@@ -288,11 +295,10 @@ def make_write_group(index_dir: str, segment_id: str, config: IndexConfig):
     reference's -2 formula (max(0.0005*maxDoc, 160)) must be resolved by
     the caller via ``config.resolve_n_postings(total_docs)`` since group
     tasks don't see the global doc count."""
-    block_size = config.block_size
     n_postings = config.n_postings
     quantize_u8 = config.weight_quantization == "u8"
     index_positions = config.index_positions
-    grouped_encode = grouped_encoder_for(config.posting_codec)
+    codec = config.posting_codec
 
     def fn(group: pa.Table) -> pa.Table:
         from ..runtime import ensure_worker_tuned
@@ -319,24 +325,13 @@ def make_write_group(index_dir: str, segment_id: str, config: IndexConfig):
         )
 
         if bucket == DOCLEN_BUCKET:
-            order = np.argsort(flat_docs, kind="stable")
-            d = flat_docs[order]
-            dls = flat_tfs[order]
             path = f"segments/{segment_id}/doclen_s{shard:04d}.parquet"
             pq.write_table(
-                pa.table({"doc_id": d, "dl": dls.astype(np.int32)}),
-                os.path.join(index_dir, path),
+                doclen_table(flat_docs, flat_tfs), os.path.join(index_dir, path)
             )
-            return pa.table(
-                {
-                    "doc_shard": [shard],
-                    "term_bucket": [bucket],
-                    "path": [path],
-                    "n_terms": [0],
-                    "n_postings": [0],
-                    "n_docs": [int(d.size)],
-                    "sum_dl": [int(dls.sum())],
-                }
+            return group_rows_table(
+                [group_row(shard, bucket, path, n_docs=flat_docs.size,
+                           sum_dl=flat_tfs.sum())]
             )
 
         codes_part, uniq = pd.factorize(terms_col.to_pandas())
@@ -347,8 +342,6 @@ def make_write_group(index_dir: str, segment_id: str, config: IndexConfig):
         g_tf = flat_tfs[order]
         g_pos = None
         if index_positions:
-            from .codec import posting_gather, positions_delta
-
             flat_pos = (
                 group["pos"].combine_chunks().flatten()
                 .to_numpy(zero_copy_only=False).astype(np.int64)
@@ -371,8 +364,6 @@ def make_write_group(index_dir: str, segment_id: str, config: IndexConfig):
             kept = sel[rank < n_postings]
             kept.sort()  # restore (code, doc) order: original was lexsorted
             if index_positions:
-                from .codec import posting_gather
-
                 g_tok = np.cumsum(g_tf) - g_tf
                 g_pos = g_pos[posting_gather(g_tok, g_tf, kept)]
             g_code, g_doc, g_tf = g_code[kept], g_doc[kept], g_tf[kept]
@@ -381,8 +372,7 @@ def make_write_group(index_dir: str, segment_id: str, config: IndexConfig):
             # quantized sparse tier: u8-quantize the weight at ingest
             # (ByteQuantizer.java:24-34, ceiling 3.0), store the
             # FeatureField-encoded (>>>15) frequency of the dequantized
-            # float32 weight (ValueEncoder.java:21-42). Encoding is
-            # monotonic in the weight, so block-max metadata stays valid.
+            # float32 weight (ValueEncoder.java:21-42).
             from ..stages.quantize import (
                 byte_dequantize,
                 byte_quantize,
@@ -395,68 +385,12 @@ def make_write_group(index_dir: str, segment_id: str, config: IndexConfig):
                 )
             )
 
-        change = np.flatnonzero(np.diff(g_code) != 0)
-        starts = np.concatenate(([0], change + 1))
-        ends = np.concatenate((change + 1, [g_code.size]))
-
-        # delta within each term's posting list (vectorized across groups)
-        deltas = np.empty_like(g_doc)
-        if g_doc.size:
-            deltas[0] = g_doc[0]
-            np.subtract(g_doc[1:], g_doc[:-1], out=deltas[1:])
-            deltas[starts] = g_doc[starts]
-        doc_bufs = grouped_encode(deltas, starts, ends)
-        tf_bufs = grouped_encode(g_tf, starts, ends)
-
-        # block-max tf per term, vectorized with reduceat
-        dfs = (ends - starts).astype(np.int64)
-        nblocks = (dfs + block_size - 1) // block_size
-        bm_offsets = np.zeros(nblocks.size + 1, dtype=np.int64)
-        np.cumsum(nblocks, out=bm_offsets[1:])
-        red_idx = np.concatenate(
-            [np.arange(s, e, block_size) for s, e in zip(starts, ends)]
-        ) if g_tf.size else np.empty(0, np.int64)
-        bm_flat = (
-            np.maximum.reduceat(g_tf, red_idx).astype(np.int32)
-            if red_idx.size
-            else np.empty(0, np.int32)
-        )
-        bm_col = pa.ListArray.from_arrays(
-            pa.array(bm_offsets), pa.array(bm_flat, type=pa.int32())
-        )
-
-        out_terms = uniq[g_code[starts]] if g_code.size else []
-        cols = {
-            "term": pa.array(list(out_terms), type=pa.string()),
-            "df": pa.array(dfs, type=pa.int64()),
-            "docs": pa.array(doc_bufs, type=pa.binary()),
-            "tfs": pa.array(tf_bufs, type=pa.binary()),
-            "block_max_tf": bm_col,
-        }
-        if index_positions:
-            from .codec import positions_delta
-
-            tok_bounds = np.concatenate(
-                (np.cumsum(g_tf) - g_tf, [int(g_tf.sum())])
-            ).astype(np.int64)
-            pdeltas = positions_delta(g_pos, tok_bounds[:-1])
-            cols["pos"] = pa.array(
-                grouped_encode(pdeltas, tok_bounds[starts], tok_bounds[ends]),
-                type=pa.binary(),
-            )
-        table = pa.table(cols)
+        table = encode_rows(g_code, uniq, g_doc, g_tf, codec, g_pos)
         path = f"segments/{segment_id}/post_s{shard:04d}_b{bucket:05d}.parquet"
         pq.write_table(table, os.path.join(index_dir, path))
-        return pa.table(
-            {
-                "doc_shard": [shard],
-                "term_bucket": [bucket],
-                "path": [path],
-                "n_terms": [len(table)],
-                "n_postings": [int(dfs.sum())],
-                "n_docs": [0],
-                "sum_dl": [0],
-            }
+        return group_rows_table(
+            [group_row(shard, bucket, path, n_terms=len(table),
+                       n_postings=g_code.size)]
         )
 
     return fn
@@ -472,7 +406,6 @@ def index_config_from_manifest(manifest: IndexManifest) -> IndexConfig:
     return IndexConfig(
         num_shards=manifest.num_doc_shards,
         num_salts=max(manifest.num_term_buckets // manifest.num_doc_shards, 1),
-        block_size=manifest.block_size,
         weight_quantization=manifest.weight_quantization,
         posting_codec=manifest.posting_codec,
         index_positions=manifest.index_positions,
@@ -512,7 +445,6 @@ def build_index(
     manifest = IndexManifest.load(index_dir) or IndexManifest(
         num_doc_shards=config.num_shards,
         num_term_buckets=num_buckets,
-        block_size=config.block_size,
         analyzer=asdict(config.analyzer),
         bm25=asdict(config.bm25),
         weight_quantization=config.weight_quantization,
@@ -569,23 +501,8 @@ def build_index(
         )
     finally:
         ctx.shuffle_strategy = prev_strategy
-    seg = SegmentManifest(
-        segment_id=segment_id,
-        input_files=input_files or [],
-        n_docs=sum(r["n_docs"] for r in rows),
-        sum_dl=sum(r["sum_dl"] for r in rows),
-        files=[
-            {
-                "doc_shard": r["doc_shard"],
-                "term_bucket": r["term_bucket"],
-                "path": r["path"],
-                "n_terms": r["n_terms"],
-                "n_postings": r["n_postings"],
-            }
-            for r in rows
-        ],
-        complete=True,
+    manifest.segments[segment_id] = segment_entry(
+        segment_id, input_files or [], rows
     )
-    manifest.segments[segment_id] = asdict(seg)
     manifest.save(index_dir)
     return manifest

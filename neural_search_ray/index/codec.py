@@ -1,21 +1,37 @@
-"""Posting-list codec: delta + varint compressed docIDs, u32-varint term
-frequencies, block-max metadata per fixed-size doc block.
+"""Posting-file codec: the one module that knows the posting-row format.
 
 Reference format being re-expressed (NOT copied): per-term postings written
 as (docId vint, weight byte)* by sparse/codec/ClusteredPostingTermsWriter.java:155-181
-into Lucene .sip files. Here a posting list is one Arrow row
-(term, df, docs:binary, tfs:binary, block_max_tf:list<int32>) inside a
-partitioned Parquet shard — the Parquet term column's dictionary+stats
-play the role of the .sit term dict (SparseTermsLuceneWriter.java:34-98).
+into Lucene .sip files, through one consumer for flush and merge
+(SparsePostingsConsumer.java:52-53,87-111). Here a posting file is one
+Parquet table per (segment, doc_shard, term_bucket), one row per term:
 
-All encode/decode paths are numpy-vectorized (no per-posting Python loop):
-varint bytes are laid out by computing per-value byte widths, exclusive
-offsets, then scattering the 7-bit groups with boolean masks.
+  term  string   the term (the Parquet dictionary + stats play the role of
+                 the .sit term dict, SparseTermsLuceneWriter.java:34-98)
+  df    int64    postings in the row
+  docs  binary   docID deltas (first docID absolute), codec-encoded
+  tfs   binary   per-posting term frequencies, codec-encoded
+  pos   binary   only when the index has positions: per posting, its
+                 within-doc positions as deltas (first absolute), in
+                 posting order; the posting's tf is its position count
+
+The codec is the manifest's ``posting_codec``: ``varint`` (LEB128; a row's
+buffer is its values back to back) or ``for`` (bit-packed frame of
+reference; each row's buffer carries its own count header). Indexes
+written before the format settled also carry a ``block_max_tf`` column;
+no reader selects it, so those files read unchanged.
+
+``encode_rows`` is the only writer of these rows (build, reshard, merge,
+purge) and ``PostingRows`` / ``decode_rows`` the only reader. Encode and
+decode are numpy-vectorized over whole columns (no per-posting Python
+loop): varint bytes are laid out by computing per-value byte widths,
+exclusive offsets, then scattering the 7-bit groups with boolean masks.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 _MAX_VARINT_BYTES = 5  # uint32 range
 
@@ -249,16 +265,22 @@ def for_decode(buf: bytes, count: int | None = None) -> np.ndarray:
     return out[:n].astype(np.int64)
 
 
-# ---- positional payloads ---------------------------------------------------
-# A positional posting list stores, per posting (term, doc), its within-doc
-# token positions (the Lucene .prx / FieldsConsumer positions stream that
-# backs PhraseQuery — the reference inherits it from Lucene text fields).
-# Layout: ONE buffer per term row = the per-posting position DELTAS
-# (first position absolute, then successive gaps), concatenated in posting
-# order and codec-encoded like any other stream; the posting's tf is its
-# position count, so decode needs no extra offsets. Helpers below are the
-# shared vectorized kernels for build (index/build.py), merge
-# (index/merge.py) and query decode (query/engine.py).
+# ---- segmented delta helpers -----------------------------------------------
+# A posting-contiguous flat array (positions: posting i owns
+# flat[starts[i] : starts[i] + tf[i]]) is permuted or filtered posting by
+# posting with posting_gather. positions_delta / positions_undelta
+# delta-code each segment of a flat array: a posting's positions, and
+# also a term row's docIDs (segments = rows).
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges [starts[i], starts[i] + lens[i])."""
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(
+        total, dtype=np.int64
+    )
 
 
 def posting_gather(
@@ -269,15 +291,7 @@ def posting_gather(
 
     ``posting_starts[i]``/``tf[i]`` describe posting i's slice of the flat
     array; ``order`` is any int index array (permutation or subset)."""
-    new_tf = tf[order]
-    total = int(new_tf.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    new_starts = np.cumsum(new_tf) - new_tf
-    return (
-        np.repeat(posting_starts[order] - new_starts, new_tf)
-        + np.arange(total, dtype=np.int64)
-    )
+    return _ranges(posting_starts[order], tf[order])
 
 
 def positions_delta(flat_pos: np.ndarray, posting_starts: np.ndarray) -> np.ndarray:
@@ -301,16 +315,22 @@ def positions_undelta(
     return c - np.repeat(base, tf)
 
 
-def decoder_for(codec: str):
-    """Posting-buffer decoder for a manifest's posting_codec."""
-    if codec == "for":
-        return for_decode
-    if codec == "varint":
-        return varint_decode
-    raise ValueError(f"unknown posting codec {codec!r}")
+# ---- posting rows ------------------------------------------------------------
+
+_CODECS = ("varint", "for")
 
 
-def grouped_varint_encode(
+def _check_codec(codec: str) -> None:
+    if codec not in _CODECS:
+        raise ValueError(f"unknown posting codec {codec!r}")
+
+
+def row_columns(positions: bool) -> list[str]:
+    """The posting-file columns a reader selects."""
+    return ["term", "df", "docs", "tfs"] + (["pos"] if positions else [])
+
+
+def _grouped_varint_encode(
     flat: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> list[bytes]:
     """varint-encode many groups in ONE vectorized pass, slice per group."""
@@ -325,50 +345,126 @@ def grouped_varint_encode(
     ]
 
 
-def grouped_encoder_for(codec: str):
-    """Grouped (flat, starts, ends) → list[bytes] encoder per codec."""
-    if codec == "for":
-        return grouped_for_encode
-    if codec == "varint":
-        return grouped_varint_encode
-    raise ValueError(f"unknown posting codec {codec!r}")
+def encode_rows(
+    codes: np.ndarray,
+    terms,
+    docs: np.ndarray,
+    tfs: np.ndarray,
+    codec: str,
+    pos: np.ndarray | None = None,
+) -> pa.Table:
+    """Posting-file table of a flat posting stream sorted by (code, doc).
+
+    ``codes[i]`` is posting i's term code, ``terms[code]`` its term (any
+    sequence indexable by an int array); one row per distinct code, in
+    code order. ``pos`` (positional indexes only) is posting-contiguous:
+    posting i's within-doc positions are the next ``tfs[i]`` values."""
+    _check_codec(codec)
+    encode = grouped_for_encode if codec == "for" else _grouped_varint_encode
+    bnd = np.flatnonzero(np.diff(codes) != 0) + 1
+    starts = np.concatenate(([0], bnd)) if codes.size else bnd
+    ends = np.concatenate((bnd, [codes.size])) if codes.size else bnd
+    cols = {
+        "term": pa.array(list(terms[codes[starts]]), type=pa.string()),
+        "df": pa.array((ends - starts).astype(np.int64), type=pa.int64()),
+        "docs": pa.array(
+            encode(positions_delta(docs, starts), starts, ends), type=pa.binary()
+        ),
+        "tfs": pa.array(encode(tfs, starts, ends), type=pa.binary()),
+    }
+    if pos is not None:
+        tok = np.concatenate((np.cumsum(tfs) - tfs, [int(tfs.sum())])).astype(
+            np.int64
+        )
+        cols["pos"] = pa.array(
+            encode(positions_delta(pos, tok[:-1]), tok[starts], tok[ends]),
+            type=pa.binary(),
+        )
+    return pa.table(cols)
 
 
-def encode_postings(
-    doc_ids: np.ndarray, tfs: np.ndarray, block_size: int = 128
-) -> tuple[bytes, bytes, np.ndarray]:
-    """Encode one docID-sorted posting list.
-
-    Returns (docs_delta_varint, tfs_varint, block_max_tf[int32]).
-    block_max_tf[i] = max tf within docs [i*block_size, (i+1)*block_size)
-    — the block-max metadata used for WAND-style skipping
-    (generalizing the reference's per-cluster summary vectors,
-    sparse/data/DocumentCluster.java:32-63).
-    """
-    doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    tfs = np.asarray(tfs, dtype=np.int64)
-    if doc_ids.size == 0:
-        return b"", b"", np.empty(0, dtype=np.int32)
-    if doc_ids.size > 1 and not (np.diff(doc_ids) > 0).all():
-        raise ValueError("posting list must be strictly docID-sorted")
-    deltas = np.empty_like(doc_ids)
-    deltas[0] = doc_ids[0]
-    np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:])
-    docs_buf = varint_encode(deltas)
-    tfs_buf = varint_encode(tfs)
-    n = doc_ids.size
-    nblocks = (n + block_size - 1) // block_size
-    pad = nblocks * block_size - n
-    padded = np.pad(tfs, (0, pad), constant_values=0)
-    block_max = padded.reshape(nblocks, block_size).max(axis=1).astype(np.int32)
-    return docs_buf, tfs_buf, block_max
+def _binary_views(chunked) -> tuple[np.ndarray, memoryview]:
+    """(offsets int64, data memoryview) for a binary column — row i's
+    payload is data[offsets[i]:offsets[i+1]], zero-copy (large_binary, so
+    a combined column > 2 GiB can't overflow its offsets)."""
+    col = chunked.cast(pa.large_binary()).combine_chunks()
+    if len(col) == 0:
+        return np.zeros(1, np.int64), memoryview(b"")
+    off = np.frombuffer(col.buffers()[1], dtype=np.int64)[
+        col.offset : col.offset + len(col) + 1
+    ]
+    return off, memoryview(col.buffers()[2])
 
 
-def decode_postings(
-    docs_buf: bytes, tfs_buf: bytes, df: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode (docs_delta_varint, tfs_varint) → (doc_ids int64, tfs int64)."""
-    deltas = varint_decode(docs_buf, df)
-    doc_ids = np.cumsum(deltas)
-    tfs = varint_decode(tfs_buf, df)
-    return doc_ids, tfs
+class PostingRows:
+    """Zero-copy views of a posting table's columns, decoded on demand:
+    a whole table at once (merge, purge, reshard, forward and SEISMIC
+    builds) or the few rows of one term (the searcher's lazy decode)."""
+
+    def __init__(self, table: pa.Table, codec: str):
+        _check_codec(codec)
+        self.codec = codec
+        self.df = table["df"].to_numpy().astype(np.int64, copy=False)
+        self._docs = _binary_views(table.column("docs"))
+        self._tfs = _binary_views(table.column("tfs"))
+        self._pos = (
+            _binary_views(table.column("pos"))
+            if "pos" in table.column_names
+            else None
+        )
+
+    def _column(self, views, rows: np.ndarray | None, count: int) -> np.ndarray:
+        """Decode the payloads of ``rows`` (None = all), concatenated."""
+        off, data = views
+        if self.codec == "for":  # one count header per row buffer
+            rows = range(off.size - 1) if rows is None else rows
+            parts = [for_decode(data[off[r] : off[r + 1]]) for r in rows]
+            out = np.concatenate(parts) if parts else np.empty(0, np.int64)
+            if out.size != count:
+                raise ValueError(f"expected {count} values, decoded {out.size}")
+            return out
+        if rows is None:
+            buf = data[off[0] : off[-1]]
+        elif rows.size == 1:
+            buf = data[off[rows[0]] : off[rows[0] + 1]]
+        else:
+            raw = np.frombuffer(data, dtype=np.uint8)
+            buf = raw[_ranges(off[rows], off[rows + 1] - off[rows])]
+        return varint_decode(buf, count)
+
+    def decode(
+        self, rows: np.ndarray | None = None, positions: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """(docs, tfs, dfs, pos) of ``rows`` (None = every row) in row
+        order: flat int64 docIDs and tfs (docID-sorted within each row),
+        the per-row df, and with ``positions`` the posting-contiguous
+        within-doc positions (else None)."""
+        dfs = self.df if rows is None else self.df[rows]
+        n = int(dfs.sum())
+        docs = positions_undelta(
+            self._column(self._docs, rows, n), np.cumsum(dfs) - dfs, dfs
+        )
+        tfs = self._column(self._tfs, rows, n)
+        pos = None
+        if positions:
+            tok_start = np.cumsum(tfs) - tfs
+            pos = positions_undelta(
+                self._column(self._pos, rows, int(tfs.sum())), tok_start, tfs
+            )
+        return docs, tfs, dfs, pos
+
+
+def decode_rows(
+    table: pa.Table, codec: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(docs, tfs, dfs, pos) of every row of a posting table; ``pos`` is
+    decoded when the table has the positions column, else None."""
+    return PostingRows(table, codec).decode(positions="pos" in table.column_names)
+
+
+def doclen_table(docs: np.ndarray, dls: np.ndarray) -> pa.Table:
+    """Doc-length file table: (doc_id int64, dl int32), docID-sorted."""
+    order = np.argsort(docs, kind="stable")
+    return pa.table(
+        {"doc_id": docs[order].astype(np.int64), "dl": dls[order].astype(np.int32)}
+    )

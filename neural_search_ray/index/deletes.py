@@ -32,7 +32,6 @@ merging when deletes exceed a segment fraction.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict
 
 import numpy as np
 import pyarrow as pa
@@ -41,9 +40,13 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .codec import decoder_for, grouped_encoder_for
-from .manifest import DOCLEN_BUCKET, IndexManifest, SegmentManifest
-from .merge import _group_rows_table, _live_mask, _rewrite_group
+from .manifest import (
+    DOCLEN_BUCKET,
+    IndexManifest,
+    group_rows_table,
+    segment_entry,
+)
+from .merge import _live_mask, _rewrite_group
 
 TOMBSTONE_DIR = "tombstones"
 
@@ -311,9 +314,7 @@ def purge_deletes(
         return manifest
 
     # -- pass 2: rewrite dirty segments group-by-group -------------------
-    decode = decoder_for(manifest.posting_codec)
-    grouped_encode = grouped_encoder_for(manifest.posting_codec)
-    block_size = manifest.block_size
+    codec, positions = manifest.posting_codec, manifest.index_positions
     new_ids = {sid: _purged_seg_id(sid) for sid in dirty_ids}
     items = [
         {
@@ -337,11 +338,11 @@ def purge_deletes(
             rows.append(
                 _rewrite_group(
                     index_dir, new_ids[sid], int(shard), int(bucket), [path],
-                    decode, grouped_encode, block_size, drop_sorted=drop,
+                    codec, positions, drop_sorted=drop,
                 )
             )
             sids.append(sid)
-        t = _group_rows_table(rows)
+        t = group_rows_table(rows)
         return t.append_column("sid", pa.array(sids, pa.string()))
 
     rows = (
@@ -354,28 +355,11 @@ def purge_deletes(
     for r in rows:
         by_sid.setdefault(r["sid"], []).append(r)
     for sid in sorted(dirty_ids):
-        src = manifest.segments[sid]
-        seg_rows = by_sid.get(sid, [])
-        lineage = set(src.get("input_files", [])) | {f"merged:{sid}"}
-        seg = SegmentManifest(
-            segment_id=new_ids[sid],
-            input_files=sorted(lineage),
-            n_docs=sum(r["n_docs"] for r in seg_rows),
-            sum_dl=sum(r["sum_dl"] for r in seg_rows),
-            files=[
-                {
-                    "doc_shard": int(r["doc_shard"]),
-                    "term_bucket": int(r["term_bucket"]),
-                    "path": r["path"],
-                    "n_terms": int(r["n_terms"]),
-                    "n_postings": int(r["n_postings"]),
-                }
-                for r in seg_rows
-            ],
-            complete=True,
-        )
+        lineage = set(manifest.segments[sid].get("input_files", []))
         del manifest.segments[sid]
-        manifest.segments[new_ids[sid]] = asdict(seg)
+        manifest.segments[new_ids[sid]] = segment_entry(
+            new_ids[sid], sorted(lineage | {f"merged:{sid}"}), by_sid.get(sid, [])
+        )
     manifest.save(index_dir)  # atomic swap (os.replace inside save)
     if not has_incomplete:
         clear_tombstones(index_dir)

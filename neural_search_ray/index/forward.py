@@ -29,7 +29,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..index.codec import decoder_for
+from .codec import decode_rows, row_columns
 from .manifest import DOCLEN_BUCKET, IndexManifest
 
 FORWARD_DIR = "forward"
@@ -40,11 +40,9 @@ def _build_shard_forward(index_dir: str, shard: int, manifest: IndexManifest) ->
 
     ensure_worker_tuned()
     quantized = manifest.weight_quantization == "u8"
-    decode = decoder_for(manifest.posting_codec)
     if quantized:
         from ..stages.quantize import byte_quantize, feature_decode
-    term_ids: dict[str, int] = {}
-    terms_list: list[str] = []
+    term_ids: dict[str, int] = {}  # shard-local ids, first-seen order
     all_docs: list[np.ndarray] = []
     all_tids: list[np.ndarray] = []
     all_w: list[np.ndarray] = []
@@ -52,31 +50,24 @@ def _build_shard_forward(index_dir: str, shard: int, manifest: IndexManifest) ->
         for f in seg["files"]:
             if f["doc_shard"] != shard or f["term_bucket"] == DOCLEN_BUCKET:
                 continue
-            t = pq.read_table(os.path.join(index_dir, f["path"]))
-            for term, df, db, tb in zip(
-                t["term"].to_pylist(),
-                t["df"].to_numpy(),
-                t["docs"].to_pylist(),
-                t["tfs"].to_pylist(),
-            ):
-                tid = term_ids.get(term)
-                if tid is None:
-                    tid = len(terms_list)
-                    term_ids[term] = tid
-                    terms_list.append(term)
-                docs = np.cumsum(decode(db, int(df)))
-                tfs = decode(tb, int(df))
-                all_docs.append(docs)
-                all_tids.append(np.full(docs.size, tid, dtype=np.int32))
-                if quantized:
-                    # quantized tier: store the u8 code (1 byte/entry on
-                    # disk — the reference forward index's footprint,
-                    # SparseVectorFieldMapper.java quantized storage)
-                    all_w.append(
-                        byte_quantize(feature_decode(tfs.astype(np.int64)))
-                    )
-                else:
-                    all_w.append(tfs.astype(np.float32))
+            t = pq.read_table(
+                os.path.join(index_dir, f["path"]), columns=row_columns(False)
+            )
+            if not t.num_rows:
+                continue
+            docs, tfs, dfs, _ = decode_rows(t, manifest.posting_codec)
+            tids = [term_ids.setdefault(x, len(term_ids))
+                    for x in t["term"].to_pylist()]
+            all_docs.append(docs)
+            all_tids.append(np.repeat(np.asarray(tids, dtype=np.int32), dfs))
+            if quantized:
+                # quantized tier: store the u8 code (1 byte/entry on
+                # disk — the reference forward index's footprint,
+                # SparseVectorFieldMapper.java quantized storage)
+                all_w.append(byte_quantize(feature_decode(tfs)))
+            else:
+                all_w.append(tfs.astype(np.float32))
+    terms_list = list(term_ids)
     if not all_docs:
         flat_docs = np.empty(0, np.int64)
         flat_tids = np.empty(0, np.int32)

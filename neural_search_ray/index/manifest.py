@@ -15,6 +15,8 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
+import pyarrow as pa
+
 MANIFEST_NAME = "manifest.json"
 DOCLEN_BUCKET = -1  # sentinel bucket id for doc-length "posting" files
 
@@ -56,11 +58,60 @@ class SegmentManifest:
     complete: bool = False
 
 
+# One row per written group file, as the group writers (build, merge,
+# purge) return it; segment_entry folds a segment's rows into its entry.
+GROUP_ROW_SCHEMA = pa.schema(
+    [
+        ("doc_shard", pa.int64()),
+        ("term_bucket", pa.int64()),
+        ("path", pa.string()),
+        ("n_terms", pa.int64()),
+        ("n_postings", pa.int64()),
+        ("n_docs", pa.int64()),
+        ("sum_dl", pa.int64()),
+    ]
+)
+
+
+def group_row(
+    shard, bucket, path: str, *, n_terms=0, n_postings=0, n_docs=0, sum_dl=0
+) -> dict:
+    """Manifest row of one group file: a posting file (n_terms,
+    n_postings) or a doc-length file (n_docs, sum_dl)."""
+    return {
+        "doc_shard": int(shard),
+        "term_bucket": int(bucket),
+        "path": path,
+        "n_terms": int(n_terms),
+        "n_postings": int(n_postings),
+        "n_docs": int(n_docs),
+        "sum_dl": int(sum_dl),
+    }
+
+
+def group_rows_table(rows: list[dict]) -> pa.Table:
+    return pa.Table.from_pylist(rows, schema=GROUP_ROW_SCHEMA)
+
+
+def segment_entry(segment_id: str, input_files: list[str], rows) -> dict:
+    """The complete segment's manifest entry, from its group rows."""
+    keys = GroupFile.__dataclass_fields__
+    return asdict(
+        SegmentManifest(
+            segment_id=segment_id,
+            input_files=input_files,
+            n_docs=sum(r["n_docs"] for r in rows),
+            sum_dl=sum(r["sum_dl"] for r in rows),
+            files=[{k: r[k] for k in keys} for r in rows],
+            complete=True,
+        )
+    )
+
+
 @dataclass
 class IndexManifest:
     num_doc_shards: int
     num_term_buckets: int
-    block_size: int
     analyzer: dict
     bm25: dict
     weight_quantization: str = "none"  # "none" | "u8" (quantized sparse tier)
@@ -115,7 +166,8 @@ class IndexManifest:
     @classmethod
     def from_dict(cls, d: dict, source: str = "<dict>") -> "IndexManifest":
         """Parse a serialized manifest (disk file, snapshot record) with
-        the same BWC gate as load()."""
+        the same BWC gate as load(). Keys this reader no longer uses
+        (``block_size`` of older manifests) are ignored."""
         # BWC gate: a manifest without the field is version 1 (round-1/2
         # layout, physically identical — read as-is). Anything outside
         # [START, CURRENT] is refused with a clear error rather than being
@@ -131,7 +183,6 @@ class IndexManifest:
         return cls(
             num_doc_shards=d["num_doc_shards"],
             num_term_buckets=d["num_term_buckets"],
-            block_size=d["block_size"],
             analyzer=d["analyzer"],
             bm25=d["bm25"],
             weight_quantization=d.get("weight_quantization", "none"),

@@ -5,10 +5,10 @@ posting files (sparse/codec/SparsePostingsReader.java:47-145 drives merge
 batches of 50 terms; SparsePostingsConsumer.java:87-181 writes the merged
 output; Lucene triggers it as segment merge / force-merge). Ray restatement:
 one task per (doc_shard, term_bucket) group reads that group's posting file
-from EVERY source segment, decodes, concatenates, re-sorts by docID,
-re-encodes (same codec + block-max layout as the build), and writes the
-merged file; doc-length sidecars concatenate the same way. The driver only
-touches the manifest.
+from EVERY source segment, decodes it (codec.py ``decode_rows``),
+concatenates, re-sorts by docID, re-encodes through the build's writer
+(``encode_rows``), and writes the merged file; doc-length sidecars
+concatenate the same way. The driver only touches the manifest.
 
 Semantics:
 - doc IDs are globally unique across segments (build invariant), so a
@@ -29,17 +29,29 @@ from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import asdict
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
 import ray.data
 
-from .codec import decoder_for, grouped_encoder_for
-from .manifest import DOCLEN_BUCKET, IndexManifest, SegmentManifest
+from .codec import (
+    decode_rows,
+    doclen_table,
+    encode_rows,
+    posting_gather,
+    row_columns,
+)
+from .manifest import (
+    DOCLEN_BUCKET,
+    IndexManifest,
+    group_row,
+    group_rows_table,
+    segment_entry,
+)
 
 
 def _live_mask(values: np.ndarray, drop_sorted: np.ndarray) -> np.ndarray:
@@ -56,78 +68,48 @@ def _rewrite_group(
     shard: int,
     bucket: int,
     paths: list[str],
-    decode,
-    grouped_encode,
-    block_size: int,
+    codec: str,
+    positions: bool,
     drop_sorted: np.ndarray | None = None,
-) -> tuple:
+) -> dict:
     """Rewrite one (doc_shard, term_bucket) group: read its posting (or
     doc-length) files from one or more source segments, optionally drop
     tombstoned docIDs, re-sort, re-encode, and write the group file under
     ``segments/<out_seg_id>/``. Shared by segment merge (drop=None) and
     delete purge (index/deletes.py — the Lucene liveDocs-purge path the
-    reference inherits via forceMergeDeletes). Returns
-    (shard, bucket, path, n_terms, n_postings, n_docs, sum_dl)."""
+    reference inherits via forceMergeDeletes). Returns the group row
+    (manifest.group_row)."""
     seg_dir = os.path.join(index_dir, "segments", out_seg_id)
     os.makedirs(seg_dir, exist_ok=True)
-    tables = [pq.read_table(os.path.join(index_dir, p)) for p in paths]
     drop = drop_sorted if drop_sorted is not None and drop_sorted.size else None
 
     if bucket == DOCLEN_BUCKET:
-        t = pa.concat_tables(tables)
+        t = pa.concat_tables(
+            [pq.read_table(os.path.join(index_dir, p)) for p in paths]
+        )
         d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         dl = t["dl"].to_numpy(zero_copy_only=False)
         if drop is not None and d.size:
             live = _live_mask(d, drop)
             d, dl = d[live], dl[live]
-        order = np.argsort(d, kind="stable")
         path = f"segments/{out_seg_id}/doclen_s{shard:04d}.parquet"
-        pq.write_table(
-            pa.table({"doc_id": d[order], "dl": dl[order].astype(np.int32)}),
-            os.path.join(index_dir, path),
-        )
-        return (shard, bucket, path, 0, 0, int(d.size), int(dl.sum()))
+        pq.write_table(doclen_table(d, dl), os.path.join(index_dir, path))
+        return group_row(shard, bucket, path, n_docs=d.size, sum_dl=dl.sum())
 
-    t = pa.concat_tables(tables)
-    terms = t["term"].to_pandas()
-    dfs = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-    docs_bufs = t["docs"].to_pylist()
-    tfs_bufs = t["tfs"].to_pylist()
-    # positional segments (index/codec.py positional payloads): decode the
-    # per-posting positions alongside, permute them posting-granularly
-    # through drop + re-sort, re-encode in the output
-    has_pos = "pos" in t.column_names
-    pos_bufs = t["pos"].to_pylist() if has_pos else None
-    # decode every source row (C-speed per buffer), lay out flat
-    import pandas as pd
-
-    from .codec import posting_gather, positions_delta, positions_undelta
-
-    codes_row, uniq = pd.factorize(terms)
-    total = int(dfs.sum())
-    flat_doc = np.empty(total, dtype=np.int64)
-    flat_tf = np.empty(total, dtype=np.int64)
+    # only the row columns: files written before the format settled carry
+    # an extra block_max_tf column, and mixed sources must concatenate
+    t = pa.concat_tables(
+        [
+            pq.read_table(os.path.join(index_dir, p), columns=row_columns(positions))
+            for p in paths
+        ]
+    )
+    flat_doc, flat_tf, dfs, flat_pos = decode_rows(t, codec)
+    codes_row, uniq = pd.factorize(t["term"].to_pandas())
     flat_code = np.repeat(codes_row.astype(np.int64), dfs)
-    pos_parts: list[np.ndarray] = []
-    pos = 0
-    for i, (df_i, db, tb) in enumerate(zip(dfs, docs_bufs, tfs_bufs)):
-        n = int(df_i)
-        deltas = decode(db, n)
-        flat_doc[pos : pos + n] = np.cumsum(deltas)
-        row_tf = decode(tb, n)
-        flat_tf[pos : pos + n] = row_tf
-        if has_pos:
-            pdel = decode(pos_bufs[i], int(row_tf.sum()))
-            pos_parts.append(
-                positions_undelta(pdel, np.cumsum(row_tf) - row_tf, row_tf)
-            )
-        pos += n
-    flat_pos = (
-        np.concatenate(pos_parts) if pos_parts else np.empty(0, np.int64)
-    ) if has_pos else None
     if drop is not None and flat_doc.size:
         live = _live_mask(flat_doc, drop)
-        if has_pos:
+        if positions:
             tok_start = np.cumsum(flat_tf) - flat_tf
             flat_pos = flat_pos[
                 posting_gather(tok_start, flat_tf, np.flatnonzero(live))
@@ -135,75 +117,17 @@ def _rewrite_group(
         flat_doc, flat_tf, flat_code = flat_doc[live], flat_tf[live], flat_code[live]
 
     order = np.lexsort((flat_doc, flat_code))
-    g_code, g_doc, g_tf = flat_code[order], flat_doc[order], flat_tf[order]
     g_pos = None
-    if has_pos:
+    if positions:
         tok_start = np.cumsum(flat_tf) - flat_tf
         g_pos = flat_pos[posting_gather(tok_start, flat_tf, order)]
-    change = np.flatnonzero(np.diff(g_code) != 0)
-    starts = np.concatenate(([0], change + 1)) if g_code.size else np.empty(0, np.int64)
-    ends = (
-        np.concatenate((change + 1, [g_code.size])) if g_code.size else np.empty(0, np.int64)
+    table = encode_rows(
+        flat_code[order], uniq, flat_doc[order], flat_tf[order], codec, g_pos
     )
-    deltas = np.empty_like(g_doc)
-    if g_doc.size:
-        deltas[0] = g_doc[0]
-        np.subtract(g_doc[1:], g_doc[:-1], out=deltas[1:])
-        deltas[starts] = g_doc[starts]
-    doc_out = grouped_encode(deltas, starts, ends)
-    tf_out = grouped_encode(g_tf, starts, ends)
-    mdfs = (ends - starts).astype(np.int64)
-    nblocks = (mdfs + block_size - 1) // block_size
-    bm_offsets = np.zeros(nblocks.size + 1, dtype=np.int64)
-    np.cumsum(nblocks, out=bm_offsets[1:])
-    red_idx = (
-        np.concatenate([np.arange(s, e, block_size) for s, e in zip(starts, ends)])
-        if g_tf.size
-        else np.empty(0, np.int64)
-    )
-    bm_flat = (
-        np.maximum.reduceat(g_tf, red_idx).astype(np.int32)
-        if red_idx.size
-        else np.empty(0, np.int32)
-    )
-    bm_col = pa.ListArray.from_arrays(
-        pa.array(bm_offsets), pa.array(bm_flat, type=pa.int32())
-    )
-    out_terms = uniq[g_code[starts]] if g_code.size else []
-    cols = {
-        "term": pa.array(list(out_terms), type=pa.string()),
-        "df": pa.array(mdfs, type=pa.int64()),
-        "docs": pa.array(doc_out, type=pa.binary()),
-        "tfs": pa.array(tf_out, type=pa.binary()),
-        "block_max_tf": bm_col,
-    }
-    if has_pos:
-        tok_bounds = np.concatenate(
-            (np.cumsum(g_tf) - g_tf, [int(g_tf.sum())])
-        ).astype(np.int64)
-        pdeltas = positions_delta(g_pos, tok_bounds[:-1])
-        cols["pos"] = pa.array(
-            grouped_encode(pdeltas, tok_bounds[starts], tok_bounds[ends]),
-            type=pa.binary(),
-        )
-    table = pa.table(cols)
     path = f"segments/{out_seg_id}/post_s{shard:04d}_b{bucket:05d}.parquet"
     pq.write_table(table, os.path.join(index_dir, path))
-    return (shard, bucket, path, len(table), int(mdfs.sum()), 0, 0)
-
-
-def _group_rows_table(out_rows: list[tuple]) -> pa.Table:
-    cols = list(zip(*out_rows)) if out_rows else [[]] * 7
-    return pa.table(
-        {
-            "doc_shard": pa.array(cols[0], pa.int64()),
-            "term_bucket": pa.array(cols[1], pa.int64()),
-            "path": pa.array(cols[2], pa.string()),
-            "n_terms": pa.array(cols[3], pa.int64()),
-            "n_postings": pa.array(cols[4], pa.int64()),
-            "n_docs": pa.array(cols[5], pa.int64()),
-            "sum_dl": pa.array(cols[6], pa.int64()),
-        }
+    return group_row(
+        shard, bucket, path, n_terms=len(table), n_postings=flat_doc.size
     )
 
 
@@ -250,9 +174,7 @@ def merge_segments(
         for f in seg["files"]:
             groups.setdefault((f["doc_shard"], f["term_bucket"]), []).append(f["path"])
 
-    decode = decoder_for(manifest.posting_codec)
-    grouped_encode = grouped_encoder_for(manifest.posting_codec)
-    block_size = manifest.block_size
+    codec, positions = manifest.posting_codec, manifest.index_positions
     source_ids = sorted(sid for sid, _ in sources)
 
     # Lucene drops deleted docs as a merge rewrites: broadcast the
@@ -272,11 +194,11 @@ def merge_segments(
 
     def merge_group(batch: dict) -> pa.Table:
         drop = ray.get(tombs_ref) if tombs_ref is not None else None
-        return _group_rows_table(
+        return group_rows_table(
             [
                 _rewrite_group(
                     index_dir, merged_id, int(shard), int(bucket), paths,
-                    decode, grouped_encode, block_size, drop_sorted=drop,
+                    codec, positions, drop_sorted=drop,
                 )
                 for shard, bucket, paths in zip(
                     batch["doc_shard"], batch["term_bucket"], batch["paths"]
@@ -298,26 +220,9 @@ def merge_segments(
         lineage.update(
             e for e in src.get("input_files", []) if e.startswith("merged:")
         )
-    seg = SegmentManifest(
-        segment_id=merged_id,
-        input_files=sorted(lineage),
-        n_docs=sum(r["n_docs"] for r in rows),
-        sum_dl=sum(r["sum_dl"] for r in rows),
-        files=[
-            {
-                "doc_shard": int(r["doc_shard"]),
-                "term_bucket": int(r["term_bucket"]),
-                "path": r["path"],
-                "n_terms": int(r["n_terms"]),
-                "n_postings": int(r["n_postings"]),
-            }
-            for r in rows
-        ],
-        complete=True,
-    )
     for sid, _ in sources:
         del manifest.segments[sid]
-    manifest.segments[merged_id] = asdict(seg)
+    manifest.segments[merged_id] = segment_entry(merged_id, sorted(lineage), rows)
     manifest.save(index_dir)  # atomic swap: os.replace inside save()
     if delete_sources:
         for sid, _ in sources:

@@ -31,26 +31,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..config import AnalyzerConfig, BM25Config, IndexConfig
-from .build import build_index
+from ..config import IndexConfig
+from .build import build_index, index_config_from_manifest
 from .deletes import load_tombstones
 from .manifest import IndexManifest
-
-
-def config_from_manifest(manifest: IndexManifest) -> IndexConfig:
-    """Destination IndexConfig mirroring a source manifest — reindex
-    defaults to the source's layout/analyzer/scoring, like ES copying
-    settings you don't override in the dest index."""
-    return IndexConfig(
-        num_shards=manifest.num_doc_shards,
-        num_salts=max(1, manifest.num_term_buckets // manifest.num_doc_shards),
-        block_size=manifest.block_size,
-        weight_quantization=manifest.weight_quantization,
-        posting_codec=manifest.posting_codec,
-        index_positions=manifest.index_positions,
-        analyzer=AnalyzerConfig(**manifest.analyzer),
-        bm25=BM25Config(**manifest.bm25),
-    )
 
 
 def reindex(
@@ -75,7 +59,7 @@ def reindex(
       applied to the selected source rows before indexing (the Painless
       script seam; must preserve ``id_column``/``text_column``).
     - ``config``: destination build config; defaults to the source
-      manifest's layout via config_from_manifest.
+      manifest's layout via build.index_config_from_manifest.
 
     Resumable like build_index: the destination manifest records the
     segment, so a re-run with the same ``segment_id`` is a no-op.
@@ -84,7 +68,7 @@ def reindex(
     if src_manifest is None:
         raise ValueError(f"no index manifest at {src_index_dir}")
     if config is None:
-        config = config_from_manifest(src_manifest)
+        config = index_config_from_manifest(src_manifest)
 
     tombs = load_tombstones(src_index_dir)
     matches: np.ndarray | None = None

@@ -16,16 +16,16 @@ Ray-Data-first shape — the same ONE-exchange pipeline as the build,
 entered after tokenization:
 
   read_parquet(<source posting files>)          # one row per term
-    .map_batches(decode_and_repack)             # vectorized, stateless
+    .map_batches(decode_and_repack)             # codec.decode_rows
     .groupby([doc_shard, term_bucket])          # the ONE shuffle
     .map_groups(make_write_group(out_dir, ...)) # build's group writer
 
 Doc-length sidecars ride the same exchange as the build's sentinel
 rows (term "", bucket DOCLEN_BUCKET). Because the output goes through
-`make_write_group` verbatim, the new index is byte-compatible with
-every reader, merge, purge, and snapshot path. Resume = the build's
-segment-complete rule: re-running after a crash skips a completed
-target. The source index must be clean (no pending tombstones) —
+`make_write_group` (and so codec.encode_rows) verbatim, the new index
+is byte-compatible with every reader, merge, purge, and snapshot path.
+Resume = the build's segment-complete rule: re-running after a crash
+skips a completed target. The source index must be clean (no pending tombstones) —
 purge first, so resharding never needs the tombstone union.
 """
 
@@ -42,15 +42,15 @@ import ray
 import ray.data
 
 from .build import (
-    DOCLEN_TERM,
     build_index,  # noqa: F401  (re-exported for callers pairing the APIs)
+    doclen_partial_rows,
     index_config_from_manifest,
     make_write_group,
     pack_partial_rows,
     term_bucket_of,
 )
-from .codec import decoder_for, posting_gather, positions_undelta
-from .manifest import DOCLEN_BUCKET, IndexManifest, SegmentManifest
+from .codec import decode_rows, posting_gather, row_columns
+from .manifest import DOCLEN_BUCKET, IndexManifest, segment_entry
 
 
 def _make_repack(
@@ -59,40 +59,12 @@ def _make_repack(
     """map_batches fn: source posting rows → packed partial rows keyed
     by the NEW (doc_shard, term_bucket). One decode pass, one lexsort —
     no per-posting Python."""
-    decode = decoder_for(codec)
 
     def fn(batch: pa.Table) -> pa.Table:
-        terms_col = batch["term"]
-        if isinstance(terms_col, pa.ChunkedArray):
-            terms_col = terms_col.combine_chunks()
-        dfs = batch["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        docs_bufs = batch["docs"].to_pylist()
-        tfs_bufs = batch["tfs"].to_pylist()
-        has_pos = index_positions and "pos" in batch.column_names
-        pos_bufs = batch["pos"].to_pylist() if has_pos else None
-        codes_row, uniq = pd.factorize(terms_col.to_pandas())
-        total = int(dfs.sum())
-        flat_doc = np.empty(total, dtype=np.int64)
-        flat_tf = np.empty(total, dtype=np.int64)
+        flat_doc, flat_tf, dfs, flat_pos = decode_rows(batch, codec)
+        codes_row, uniq = pd.factorize(batch["term"].to_pandas())
         flat_code = np.repeat(codes_row.astype(np.int64), dfs)
-        pos_parts: list[np.ndarray] = []
-        at = 0
-        for i, (df_i, db, tb) in enumerate(zip(dfs, docs_bufs, tfs_bufs)):
-            n = int(df_i)
-            flat_doc[at : at + n] = np.cumsum(decode(db, n))
-            row_tf = decode(tb, n)
-            flat_tf[at : at + n] = row_tf
-            if has_pos:
-                pdel = decode(pos_bufs[i], int(row_tf.sum()))
-                pos_parts.append(
-                    positions_undelta(pdel, np.cumsum(row_tf) - row_tf, row_tf)
-                )
-            at += n
-        flat_pos = (
-            (np.concatenate(pos_parts) if pos_parts else np.empty(0, np.int64))
-            if has_pos
-            else None
-        )
+        total = flat_doc.size
         if total == 0:
             schema_probe = pack_partial_rows(
                 pa.array([], type=pa.string()),
@@ -116,7 +88,7 @@ def _make_repack(
         p_bucket = bucket_by_code[flat_code]
         order = np.lexsort((flat_doc, flat_code, p_bucket, p_shard))
         g_pos = None
-        if has_pos:
+        if index_positions:
             tok_start = np.cumsum(flat_tf) - flat_tf
             g_pos = flat_pos[posting_gather(tok_start, flat_tf, order)]
         g_code = flat_code[order]
@@ -130,13 +102,11 @@ def _make_repack(
         run_starts = np.concatenate(([0], change + 1))
         run_ends = np.concatenate((change + 1, [g_code.size]))
         run_pos_start = None
-        if has_pos:
+        if index_positions:
             excl = np.cumsum(g_tf) - g_tf
             run_pos_start = excl[run_starts]
         return pack_partial_rows(
-            pa.array(
-                [uniq[c] for c in g_code[run_starts]], type=pa.string()
-            ),
+            pa.array(list(uniq[g_code[run_starts]]), type=pa.string()),
             run_ends - run_starts,
             g_shard[run_starts],
             g_bucket[run_starts],
@@ -159,22 +129,7 @@ def _make_repack_doclen(index_positions: bool, new_num_shards: int):
     def fn(batch: pa.Table) -> pa.Table:
         d = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         dl = batch["dl"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((d, d % new_num_shards))
-        d, dl = d[order], dl[order]
-        shard = (d % new_num_shards).astype(np.int32)
-        change = np.flatnonzero(np.diff(shard) != 0)
-        starts = np.concatenate(([0], change + 1))
-        return pack_partial_rows(
-            pa.array([DOCLEN_TERM] * starts.size, type=pa.string()),
-            np.diff(np.concatenate((starts, [shard.size]))),
-            shard[starts],
-            np.full(starts.size, DOCLEN_BUCKET, dtype=np.int32),
-            starts,
-            shard.size,
-            d,
-            dl,
-            index_positions=index_positions,
-        )
+        return doclen_partial_rows(d, dl, new_num_shards, index_positions)
 
     return fn
 
@@ -240,7 +195,9 @@ def reshard_index(
     prev = ctx.shuffle_strategy
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
     try:
-        partials = ray.data.read_parquet(post_paths).map_batches(
+        partials = ray.data.read_parquet(
+            post_paths, columns=row_columns(src.index_positions)
+        ).map_batches(
             _make_repack(
                 src.posting_codec, src.index_positions,
                 new_num_shards, new_buckets,
@@ -265,36 +222,19 @@ def reshard_index(
     finally:
         ctx.shuffle_strategy = prev
 
-    from dataclasses import asdict
-
-    seg = SegmentManifest(
-        segment_id=segment_id,
-        input_files=[f"reshard:{index_dir}:{s['segment_id']}"
-                     for s in src.complete_segments()],
-        n_docs=sum(r["n_docs"] for r in rows),
-        sum_dl=sum(r["sum_dl"] for r in rows),
-        files=[
-            {
-                "doc_shard": r["doc_shard"],
-                "term_bucket": r["term_bucket"],
-                "path": r["path"],
-                "n_terms": r["n_terms"],
-                "n_postings": r["n_postings"],
-            }
-            for r in rows
-        ],
-        complete=True,
-    )
     manifest = out_manifest or IndexManifest(
         num_doc_shards=cfg.num_shards,
         num_term_buckets=new_buckets,
-        block_size=cfg.block_size,
         analyzer=src.analyzer,
         bm25=src.bm25,
         weight_quantization=src.weight_quantization,
         posting_codec=src.posting_codec,
         index_positions=src.index_positions,
     )
-    manifest.segments[segment_id] = asdict(seg)
+    manifest.segments[segment_id] = segment_entry(
+        segment_id,
+        [f"reshard:{index_dir}:{s['segment_id']}" for s in src.complete_segments()],
+        rows,
+    )
     manifest.save(out_dir)
     return manifest

@@ -33,7 +33,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from .codec import decoder_for, varint_decode, varint_encode
+from .codec import decode_rows, row_columns, varint_encode
 from .forward import ShardForward
 from .manifest import DOCLEN_BUCKET, IndexManifest
 
@@ -79,8 +79,6 @@ def _cluster_shard(
     from ..runtime import ensure_worker_tuned
 
     ensure_worker_tuned()
-    decode = decoder_for(manifest.posting_codec)  # main posting files only;
-    # the seismic sidecar rows written below stay varint (own format)
     fwd = ShardForward(index_dir, shard)
     rows: dict[str, list] = {
         "term": [], "cluster_id": [], "docs": [], "tfs": [],
@@ -91,16 +89,20 @@ def _cluster_shard(
         for f in seg["files"]:
             if f["doc_shard"] != shard or f["term_bucket"] == DOCLEN_BUCKET:
                 continue
-            t = pq.read_table(os.path.join(index_dir, f["path"]))
-            for term, df, db, tb in zip(
-                t["term"].to_pylist(), t["df"].to_numpy(),
-                t["docs"].to_pylist(), t["tfs"].to_pylist(),
-            ):
-                df = int(df)
-                if df < approximate_threshold:
-                    continue
-                docs = np.cumsum(decode(db, df))
-                tfs = decode(tb, df)
+            t = pq.read_table(
+                os.path.join(index_dir, f["path"]), columns=row_columns(False)
+            )
+            hot = np.flatnonzero(t["df"].to_numpy() >= approximate_threshold)
+            if not hot.size:
+                continue
+            all_docs, all_tfs, dfs, _ = decode_rows(t, manifest.posting_codec)
+            row_start = np.cumsum(dfs) - dfs
+            terms = t["term"].to_pylist()
+            for r in hot:
+                df = int(dfs[r])
+                term = terms[r]
+                docs = all_docs[row_start[r] : row_start[r] + df]
+                tfs = all_tfs[row_start[r] : row_start[r] + df]
                 doc_idx = np.searchsorted(fwd.doc_ids, docs)
                 n_clusters = max(1, int(np.ceil(cluster_ratio * df)))
                 rng = np.random.RandomState(
@@ -143,6 +145,8 @@ def _cluster_shard(
                     s_tids, s_ws = _summarize(
                         fwd, doc_idx[members], summary_prune_ratio
                     )
+                    # the sidecar keeps its own varint rows, whatever the
+                    # index's posting codec (query/seismic.py reads them)
                     deltas = np.empty_like(mdocs)
                     deltas[0] = mdocs[0]
                     np.subtract(mdocs[1:], mdocs[:-1], out=deltas[1:])

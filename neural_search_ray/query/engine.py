@@ -34,22 +34,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import BM25Config, QueryConfig
-from ..index.codec import decoder_for
+from ..index.codec import PostingRows, posting_gather, row_columns
 from ..index.manifest import DOCLEN_BUCKET, IndexManifest
 from ..state.stats import stats
 from . import aggs, suggest
 from .bm25 import bm25_term_idfs, topk_desc
 from .ops import SharedOps
-
-
-def _binary_views(chunked) -> tuple[np.ndarray, memoryview]:
-    """(offsets int64, data memoryview) for a binary column — row i's
-    payload is data[offsets[i]:offsets[i+1]], zero-copy."""
-    col = chunked.cast(pa.large_binary()).combine_chunks()
-    off = np.frombuffer(col.buffers()[1], dtype=np.int64)[
-        col.offset : col.offset + len(col) + 1
-    ]
-    return off, memoryview(col.buffers()[2])
 
 
 class _LruTerms:
@@ -147,6 +137,7 @@ class IndexSearcher(SharedOps):
         self.manifest = manifest
         self.index_dir = index_dir
         self._dv = None  # lazy doc-values reader (index/docvalues.py)
+        self._fwd: dict = {}  # lazy per-shard forward readers (forward())
         # Tombstoned docs (index/deletes.py — the Lucene liveDocs model):
         # excluded from every result, but collection stats (n_docs, avgdl,
         # df, idf) stay STALE until purge_deletes rewrites the
@@ -184,7 +175,6 @@ class IndexSearcher(SharedOps):
         # term → dense tf-norm vector + presence mask (_dense_term)
         self._dense_cache = _LruTerms(4096, self.breaker, "dense_tfn")
         self._dense_refused: set[str] = set()  # breaker-refused dense terms
-        self._decode = decoder_for(manifest.posting_codec)
         post_paths: list[str] = []
         dl_paths: list[str] = []
         for seg in manifest.complete_segments():
@@ -204,19 +194,14 @@ class IndexSearcher(SharedOps):
         if post_paths:
             import pyarrow.dataset as pads
 
-            cols = ["term", "df", "docs", "tfs"]
-            if self.has_positions:
-                cols.append("pos")
-            tbl = pads.dataset(post_paths).to_table(columns=cols)
+            tbl = pads.dataset(post_paths).to_table(
+                columns=row_columns(self.has_positions)
+            )
             n_rows = tbl.num_rows
         if n_rows:
-            self._p_df = tbl["df"].to_numpy()  # int64 on disk
-            # zero-copy binary views (large_binary → int64 offsets so a
-            # combined shard column > 2 GiB can't overflow)
-            self._docs_off, self._docs_data = _binary_views(tbl.column("docs"))
-            self._tfs_off, self._tfs_data = _binary_views(tbl.column("tfs"))
-            if self.has_positions:
-                self._pos_off, self._pos_data = _binary_views(tbl.column("pos"))
+            # zero-copy views of the posting columns, decoded per term
+            self._rows = PostingRows(tbl, manifest.posting_codec)
+            self._p_df = self._rows.df
             # group rows by term with Arrow C++ string sort (an object-dtype
             # np.argsort is 10x slower); row order within a term group is
             # irrelevant — multi-segment postings re-sort by docID at decode
@@ -240,18 +225,11 @@ class IndexSearcher(SharedOps):
             self._gterms = np.array(group_terms, dtype=object)
         else:
             self._p_df = np.empty(0, np.int64)
-            self._docs_off = np.zeros(1, np.int64)
-            self._docs_data = memoryview(b"")
-            self._tfs_off = np.zeros(1, np.int64)
-            self._tfs_data = memoryview(b"")
             self._row_order = np.empty(0, np.int64)
             self._gstart = np.empty(0, np.int64)
             self._gend = np.empty(0, np.int64)
             self._gdf = np.empty(0, np.int64)
             self._gterms = np.empty(0, dtype=object)
-        if self.has_positions and not hasattr(self, "_pos_off"):
-            self._pos_off = np.zeros(1, np.int64)
-            self._pos_data = memoryview(b"")
         dl_docs: list[np.ndarray] = []
         dl_vals: list[np.ndarray] = []
         if dl_paths:
@@ -285,6 +263,16 @@ class IndexSearcher(SharedOps):
 
             self._dv = DocValues(self.index_dir, sorted(self.shards))
         return self._dv
+
+    def forward(self, shard: int):
+        """Shard ``shard``'s forward-index reader (lazy, opened once;
+        requires index/forward.py build_forward_index to have run)."""
+        fwd = self._fwd.get(shard)
+        if fwd is None:
+            from ..index.forward import ShardForward
+
+            fwd = self._fwd[shard] = ShardForward(self.index_dir, shard)
+        return fwd
 
     def accepted_ids(self, column: str, op: str, value) -> np.ndarray:
         """Sorted doc_ids of THIS searcher's shards matching the
@@ -382,35 +370,10 @@ class IndexSearcher(SharedOps):
         if g is None:
             return empty
         rows = self._row_order[self._gstart[g] : self._gend[g]]
-        if rows.size == 1:
-            r = int(rows[0])
-            df = int(self._p_df[r])
-            docs = np.cumsum(
-                self._decode(self._docs_data[self._docs_off[r] : self._docs_off[r + 1]], df)
-            )
-            tfs = self._decode(
-                self._tfs_data[self._tfs_off[r] : self._tfs_off[r + 1]], df
-            ).astype(np.float64)
-        else:
-            # one row per segment: decode each, merge doc-sorted
-            ds_, fs = [], []
-            for r in rows:
-                r = int(r)
-                df = int(self._p_df[r])
-                ds_.append(
-                    np.cumsum(
-                        self._decode(
-                            self._docs_data[self._docs_off[r] : self._docs_off[r + 1]], df
-                        )
-                    )
-                )
-                fs.append(
-                    self._decode(
-                        self._tfs_data[self._tfs_off[r] : self._tfs_off[r + 1]], df
-                    ).astype(np.float64)
-                )
-            docs = np.concatenate(ds_)
-            tfs = np.concatenate(fs)
+        docs, tfs, _, _ = self._rows.decode(rows)
+        tfs = tfs.astype(np.float64)
+        if rows.size > 1:
+            # one row per segment: merge doc-sorted
             order = np.argsort(docs, kind="stable")
             docs = docs[order]
             tfs = tfs[order]
@@ -461,8 +424,6 @@ class IndexSearcher(SharedOps):
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        from ..index.codec import posting_gather, positions_undelta
-
         g = self._gid.get(term)
         empty = (
             np.empty(0, np.int64), np.empty(0, np.int64),
@@ -472,29 +433,7 @@ class IndexSearcher(SharedOps):
             return empty
         stats.incr("postings_decoded")
         rows = self._row_order[self._gstart[g] : self._gend[g]]
-        ds_, fs, ps = [], [], []
-        for r in rows:
-            r = int(r)
-            df = int(self._p_df[r])
-            ds_.append(
-                np.cumsum(
-                    self._decode(
-                        self._docs_data[self._docs_off[r] : self._docs_off[r + 1]], df
-                    )
-                )
-            )
-            tfs_r = self._decode(
-                self._tfs_data[self._tfs_off[r] : self._tfs_off[r + 1]], df
-            )
-            fs.append(tfs_r)
-            pdel = self._decode(
-                self._pos_data[self._pos_off[r] : self._pos_off[r + 1]],
-                int(tfs_r.sum()),
-            )
-            ps.append(positions_undelta(pdel, np.cumsum(tfs_r) - tfs_r, tfs_r))
-        docs = np.concatenate(ds_)
-        tfs = np.concatenate(fs)
-        posf = np.concatenate(ps)
+        docs, tfs, _, posf = self._rows.decode(rows, positions=True)
         if len(rows) > 1:
             order = np.argsort(docs, kind="stable")
             posf = posf[posting_gather(np.cumsum(tfs) - tfs, tfs, order)]

@@ -62,13 +62,11 @@ def fg_map_for_docs(searcher, docs: np.ndarray) -> dict:
     """{term: fg_df} over an explicit doc-id set, gathered from the
     forward index (one CSR row per doc holds each term once →
     unique-count = df). Bounded by vocabulary — safe to ship."""
-    from ..index.forward import ShardForward
-
     fg: dict[str, int] = defaultdict(int)
     if docs.size == 0:
         return {}
     for shard in sorted(searcher.shards):
-        fwd = ShardForward(searcher.index_dir, shard)
+        fwd = searcher.forward(shard)
         sel = np.flatnonzero(np.isin(fwd.doc_ids, docs))
         if sel.size == 0:
             continue

@@ -497,6 +497,29 @@ class TestSignificantTerms:
         terms, scores, fg, bg = significant_terms(agg_searcher, ["zzznope"])
         assert terms == [] and scores.size == 0
 
+    def test_forward_files_opened_once(self, agg_searcher, monkeypatch):
+        """The searcher keeps one forward reader per shard: a second call
+        opens no forward file and returns the same result."""
+        from neural_search_ray.index import forward
+        from neural_search_ray.query.engine import IndexSearcher
+        from neural_search_ray.query.significant import significant_terms
+
+        s = IndexSearcher(agg_searcher.index_dir)
+        first = significant_terms(s, tokenize("data query"), size=10)
+        opened = []
+        init = forward.ShardForward.__init__
+
+        def counting_init(self, index_dir, shard):
+            opened.append(shard)
+            init(self, index_dir, shard)
+
+        monkeypatch.setattr(forward.ShardForward, "__init__", counting_init)
+        second = significant_terms(s, tokenize("data query"), size=10)
+        assert opened == []
+        assert first[0] == second[0]
+        for a, b in zip(first[1:], second[1:]):
+            assert np.array_equal(a, b)
+
 
 class TestDecay:
     def test_validation(self, agg_searcher):

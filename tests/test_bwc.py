@@ -17,11 +17,15 @@ import os
 import shutil
 
 import pyarrow as pa
+import pyarrow.compute  # noqa: F401  (pa.compute)
+import pyarrow.parquet as pq
 import pytest
 import ray
 
 from neural_search_ray.config import IndexConfig
-from neural_search_ray.index.build import build_index
+from neural_search_ray.index.build import build_index, index_config_from_manifest
+from neural_search_ray.index.deletes import delete_docs, purge_deletes
+from neural_search_ray.index.merge import compact_tiered
 from neural_search_ray.index.manifest import (
     FORMAT_VERSION_CURRENT,
     IndexFormatError,
@@ -63,6 +67,69 @@ def test_v1_fixture_exists_and_is_versionless():
     with open(os.path.join(FIXTURE_DIR, "manifest.json")) as f:
         raw = json.load(f)
     assert "format_version" not in raw  # it really is a v1-era artifact
+    # it also predates the settled posting format: a block_size manifest
+    # key and a block_max_tf posting column, both unread today
+    assert raw["block_size"] == 128
+    seg = raw["segments"]["seg-000"]
+    post = [f["path"] for f in seg["files"] if f["term_bucket"] >= 0]
+    for path in post:
+        cols = pq.read_schema(os.path.join(FIXTURE_DIR, path)).names
+        assert cols == ["term", "df", "docs", "tfs", "block_max_tf"]
+
+
+def _more_docs() -> pa.Table:
+    """12 docs appended to the fixture corpus (ids 24..35)."""
+    words = ["merge", "quick", "data", "omega", "join", "delta", "sort"]
+    docs = [
+        " ".join(words[(i * 5 + j) % len(words)] for j in range(3 + i % 5))
+        for i in range(12)
+    ]
+    return pa.table({"doc_id": list(range(24, 36)), "text": docs})
+
+
+def _fresh(tmp_path, name: str, corpus: pa.Table) -> IndexSearcher:
+    d = str(tmp_path / name)
+    build_index(
+        ray.data.from_arrow(corpus), d, IndexConfig(num_shards=2, num_salts=1)
+    )
+    return IndexSearcher(d)
+
+
+def _mixed_copy(tmp_path, name: str) -> str:
+    """The fixture plus one segment in today's format (no block_max_tf)."""
+    idx = str(tmp_path / name)
+    shutil.copytree(FIXTURE_DIR, idx)
+    build_index(
+        ray.data.from_arrow(_more_docs()),
+        idx,
+        index_config_from_manifest(IndexManifest.load(idx)),
+        segment_id="seg-001",
+    )
+    return idx
+
+
+def test_mixed_layout_merge_and_purge(ray_session, tmp_path):
+    """An old-format segment (with block_max_tf) and a new-format one
+    (without) open, merge and purge together, and score like a fresh
+    build over the same docs."""
+    everything = pa.concat_tables([fixture_corpus(), _more_docs()])
+    want = _ranks(_fresh(tmp_path, "fresh_all", everything))
+
+    merged = _mixed_copy(tmp_path, "merged")
+    assert _ranks(IndexSearcher(merged)) == want
+    compact_tiered(merged, fanin=2, target_segments=1)
+    assert len(IndexManifest.load(merged).complete_segments()) == 1
+    assert _ranks(IndexSearcher(merged)) == want
+
+    purged = _mixed_copy(tmp_path, "purged")
+    gone = [0, 5, 13, 24, 30]  # in both segments
+    delete_docs(purged, gone)
+    purge_deletes(purged)
+    assert sorted(IndexManifest.load(purged).segments) == ["seg-000.p1", "seg-001.p1"]
+    live = everything.filter(
+        pa.compute.invert(pa.compute.is_in(everything["doc_id"], pa.array(gone)))
+    )
+    assert _ranks(IndexSearcher(purged)) == _ranks(_fresh(tmp_path, "fresh_live", live))
 
 
 def test_open_v1_index_rank_identical(ray_session, tmp_path):

@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neural_search_ray.index.codec import (
-    decode_postings,
-    encode_postings,
+    PostingRows,
+    decode_rows,
+    encode_rows,
+    positions_undelta,
+    posting_gather,
+    row_columns,
     varint_decode,
     varint_encode,
 )
@@ -28,24 +32,95 @@ def test_varint_roundtrip_property(vals):
     assert (varint_decode(varint_encode(arr)) == arr).all()
 
 
-def test_postings_roundtrip():
-    docs = np.array([3, 7, 8, 100, 5000], dtype=np.int64)
-    tfs = np.array([1, 2, 1, 9, 3], dtype=np.int64)
-    db, tb, bm = encode_postings(docs, tfs, block_size=2)
-    d2, t2 = decode_postings(db, tb, df=5)
-    assert (d2 == docs).all()
-    assert (t2 == tfs).all()
-    assert bm.tolist() == [2, 9, 3]  # max per block of 2
+@st.composite
+def _posting_streams(draw):
+    """A (term, doc)-sorted flat posting stream: up to 4 terms, each with a
+    unique docID set (df=1 rows and >128-posting FOR blocks included), tf
+    >= 1, and tf strictly increasing positions per posting."""
+    per_term = draw(
+        st.lists(
+            st.lists(st.integers(0, 2**31), min_size=1, max_size=300, unique=True),
+            max_size=4,
+        )
+    )
+    codes = np.concatenate(
+        [np.full(len(d), c, np.int64) for c, d in enumerate(per_term)]
+        + [np.empty(0, np.int64)]
+    )
+    docs = np.concatenate(
+        [np.sort(np.asarray(d, np.int64)) for d in per_term]
+        + [np.empty(0, np.int64)]
+    )
+    tfs = np.asarray(
+        draw(st.lists(st.integers(1, 4), min_size=docs.size, max_size=docs.size)),
+        dtype=np.int64,
+    )
+    gaps = np.asarray(
+        draw(
+            st.lists(
+                st.integers(1, 1000), min_size=int(tfs.sum()), max_size=int(tfs.sum())
+            )
+        ),
+        dtype=np.int64,
+    )
+    tok_start = np.cumsum(tfs) - tfs
+    pos = positions_undelta(gaps, tok_start, tfs)  # per posting: increasing
+    terms = np.array([f"t{c}" for c in range(len(per_term))], dtype=object)
+    return codes, terms, docs, tfs, pos
 
 
-def test_postings_requires_sorted():
-    with pytest.raises(ValueError):
-        encode_postings(np.array([5, 3]), np.array([1, 1]))
+@settings(max_examples=60, deadline=None)
+@given(
+    _posting_streams(),
+    st.sampled_from(["varint", "for"]),
+    st.booleans(),
+    st.data(),
+)
+def test_rows_roundtrip_property(stream, codec, positions, data):
+    codes, terms, docs, tfs, pos = stream
+    table = encode_rows(codes, terms, docs, tfs, codec, pos if positions else None)
+    assert table.column_names == row_columns(positions)
+    n_rows = len(np.unique(codes))
+    assert table.num_rows == n_rows
+    assert table["term"].to_pylist() == list(terms[np.unique(codes)])
+    d2, t2, dfs, p2 = decode_rows(table, codec)
+    assert np.array_equal(d2, docs) and np.array_equal(t2, tfs)
+    assert np.array_equal(dfs, np.bincount(codes, minlength=n_rows)[:n_rows])
+    assert table["df"].to_pylist() == dfs.tolist()
+    if positions:
+        assert np.array_equal(p2, pos)
+    else:
+        assert p2 is None
+    # any subset of rows (the searcher's per-term decode) = those rows'
+    # slices of the full decode, in the given row order
+    rows = np.asarray(
+        data.draw(st.lists(st.integers(0, max(n_rows - 1, 0)), max_size=6))
+        if n_rows
+        else [],
+        dtype=np.int64,
+    )
+    sd, st_, sdf, sp = PostingRows(table, codec).decode(rows, positions)
+    starts = np.cumsum(dfs) - dfs
+    want = [np.arange(starts[r], starts[r] + dfs[r]) for r in rows]
+    idx = np.concatenate(want + [np.empty(0, np.int64)]).astype(np.int64)
+    assert np.array_equal(sd, docs[idx]) and np.array_equal(st_, tfs[idx])
+    assert np.array_equal(sdf, dfs[rows])
+    if positions:
+        assert np.array_equal(sp, pos[posting_gather(np.cumsum(tfs) - tfs, tfs, idx)])
 
 
-def test_postings_empty():
-    db, tb, bm = encode_postings(np.empty(0, np.int64), np.empty(0, np.int64))
-    assert db == b"" and tb == b"" and bm.size == 0
+@pytest.mark.parametrize("codec", ["varint", "for"])
+def test_rows_empty_table(codec):
+    e = np.empty(0, np.int64)
+    table = encode_rows(e, np.empty(0, dtype=object), e, e, codec, e)
+    assert table.num_rows == 0 and table.column_names == row_columns(True)
+    assert all(a.size == 0 for a in decode_rows(table, codec))
+
+
+def test_rows_unknown_codec():
+    one = np.zeros(1, np.int64)
+    with pytest.raises(ValueError, match="unknown posting codec"):
+        encode_rows(one, np.array(["a"], dtype=object), one, one + 1, "zstd")
 
 
 # ---- bit-packed FOR codec (PForDelta family) -------------------------------

@@ -4,6 +4,7 @@ freshly spawned hosts, survives a host restart, refuses to answer from an
 index generation it was not opened on, and leaves no host process behind."""
 
 import gc
+import os
 import time
 
 import numpy as np
@@ -129,6 +130,21 @@ def test_host_restart_after_reopen_keeps_results(index):
         new_mf.shutdown()
 
 
+def _gone(pid: int, timeout_s: float = 30.0) -> None:
+    """Wait until process ``pid`` has exited (or is a zombie): a kill is
+    asynchronous, and until it lands the old process still answers."""
+    t_end = time.monotonic() + timeout_s
+    while time.monotonic() < t_end:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+        except FileNotFoundError:
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"process {pid} alive {timeout_s}s after its kill")
+
+
 def test_stale_view_refuses_newer_generation(index):
     """A searcher whose host restarts after the index changed must not
     answer from the newer index with its old global stats."""
@@ -137,7 +153,10 @@ def test_stale_view_refuses_newer_generation(index):
     try:
         ds.search_bm25(["the", "data"], k=10)
         grow()
-        ray.kill(ds.actors[0].host, no_restart=False)
+        host, key = ds.actors[0].host, ds.actors[0].key
+        pid = ray.get(host.run.remote(key, lambda s: os.getpid()))
+        ray.kill(host, no_restart=False)
+        _gone(pid)  # the next call must meet the restarted host
         with pytest.raises(StaleIndexView, match="changed since"):
             ds.search_bm25(["the", "data"], k=10)
         # a searcher opened now sees the new generation on the same hosts
