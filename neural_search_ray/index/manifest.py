@@ -94,8 +94,13 @@ def group_rows_table(rows: list[dict]) -> pa.Table:
 
 
 def segment_entry(segment_id: str, input_files: list[str], rows) -> dict:
-    """The complete segment's manifest entry, from its group rows."""
+    """The complete segment's manifest entry, from its group rows, files
+    in (doc_shard, term_bucket, path) order whatever order the writer's
+    tasks returned the rows in."""
     keys = GroupFile.__dataclass_fields__
+    rows = sorted(
+        rows, key=lambda r: (r["doc_shard"], r["term_bucket"], r["path"])
+    )
     return asdict(
         SegmentManifest(
             segment_id=segment_id,

@@ -2851,13 +2851,12 @@ def _mm_fields(sf_dir: str) -> list:
 
 
 def _q_multi_match(sf_dir: str, match_type: str, tie_breaker: float = 0.0) -> pa.Table:
-    from ..query.multifield import search_multi_match
+    from ..query.multifield import MultiFieldSearcher
 
-    fields = _mm_fields(sf_dir)
+    fields = MultiFieldSearcher(_mm_fields(sf_dir))
     rows = []
     for qid, qtext in QUERY_SET:
-        docs, scores = search_multi_match(
-            fields,
+        docs, scores = fields.search_multi_match(
             tokenize(qtext),
             k=BM25_K * 3,
             match_type=match_type,
@@ -2891,13 +2890,13 @@ def q_combined_fields(sf_dir: str) -> pa.Table:
     concatenating (title^2, text) — tf/dl/avgdl are weighted sums
     across fields, df is the union document frequency; unlike
     multi_match, weights blend INSIDE the saturation curve."""
-    from ..query.multifield import search_combined_fields
+    from ..query.multifield import MultiFieldSearcher
 
-    fields = _mm_fields(sf_dir)
+    fields = MultiFieldSearcher(_mm_fields(sf_dir))
     rows = []
     for qid, qtext in QUERY_SET:
-        docs, scores = search_combined_fields(
-            fields, tokenize(qtext), k=BM25_K * 3
+        docs, scores = fields.search_combined_fields(
+            tokenize(qtext), k=BM25_K * 3
         )
         rows.append((qid, docs, scores))
     out = _hits_table(rows)

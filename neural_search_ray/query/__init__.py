@@ -1,2 +1,2 @@
-from .bm25 import bm25_idf, bm25_score_terms  # noqa: F401
+from .bm25 import bm25_idf  # noqa: F401
 from .engine import IndexSearcher, SearchStage  # noqa: F401

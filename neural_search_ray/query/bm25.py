@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import BM25Config
-
 
 def dl_quantize_norm4(dl: np.ndarray) -> np.ndarray:
     """SmallFloat-STYLE 4-bit-mantissa doc-length quantization (the
@@ -50,51 +48,6 @@ def bm25_term_idfs(dfs, n_docs: int) -> np.ndarray:
     (df 0) gets idf 0, so it adds nothing to any score."""
     dfs = np.asarray(dfs, dtype=np.float64)
     return np.where(dfs > 0, bm25_idf(np.maximum(dfs, 1e-9), n_docs), 0.0)
-
-
-def bm25_tf_norm(
-    tf: np.ndarray, dl: np.ndarray, avgdl: float, cfg: BM25Config = BM25Config()
-) -> np.ndarray:
-    """tf / (tf + k1*(1 - b + b*dl/avgdl)) in float64."""
-    tf = np.asarray(tf, dtype=np.float64)
-    dl = np.asarray(dl, dtype=np.float64)
-    denom = tf + cfg.k1 * (1.0 - cfg.b + cfg.b * dl / avgdl)
-    return tf / denom
-
-
-def bm25_score_terms(
-    term_dfs: np.ndarray,
-    term_tfs: list[np.ndarray],
-    term_doc_ids: list[np.ndarray],
-    doc_len: np.ndarray,
-    doc_id_base: int,
-    n_docs: int,
-    avgdl: float,
-    cfg: BM25Config = BM25Config(),
-    query_weights: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score the union of posting lists for one query against one partition.
-
-    term_doc_ids[i] are absolute docIDs; doc_len is indexed by
-    (doc_id - doc_id_base). Returns (candidate_doc_ids, scores) with
-    deterministic accumulation order (terms in given order, float64).
-    """
-    if not term_doc_ids:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    all_docs = np.concatenate(term_doc_ids)
-    cand = np.unique(all_docs)  # sorted unique candidates (visited-bitset analogue)
-    scores = np.zeros(cand.size, dtype=np.float64)
-    idfs = bm25_idf(term_dfs, n_docs)
-    for i, (docs, tfs) in enumerate(zip(term_doc_ids, term_tfs)):
-        if docs.size == 0:
-            continue
-        dl = doc_len[docs - doc_id_base]
-        contrib = idfs[i] * bm25_tf_norm(tfs, dl, avgdl, cfg)
-        if query_weights is not None:
-            contrib = contrib * query_weights[i]
-        pos = np.searchsorted(cand, docs)
-        scores[pos] += contrib
-    return cand, scores
 
 
 def topk_desc(doc_ids: np.ndarray, scores: np.ndarray, k: int):

@@ -10,13 +10,13 @@ top-k with the same (score desc, doc_id asc) ordering — proven equal to
 a single-searcher run in tests/test_engine_advanced.py.
 
 Actor shape: ONE actor class, ``ShardHost``, holds any number of
-searcher *views*, ``{view id: searcher state}``. Every host method
-(``open``, ``close``, ``stats``, ``local_dfs``, ``search``, ``msearch``,
-``run``) takes the view key first, and a host that lacks the view (after
-a restart, say) opens it from the key itself: the key carries the view
-id, the state factory, its source, the shard chunk and a digest of
-``manifest.json`` plus the tombstone files the coordinator read, and a
-host opens no other index generation (``StaleIndexView``). Hosts are
+searcher *views*, ``{view id: IndexSearcher}``, each over one index.
+Every host method (``open``, ``close``, ``stats``, ``local_dfs``,
+``search``, ``msearch``, ``run``) takes the view key first, and a host
+that lacks the view (after a restart, say) opens it from the key
+itself: the key carries the view id, the index dir, the shard chunk and
+a digest of ``manifest.json`` plus the tombstone files the coordinator
+read, and a host opens no other index generation (``StaleIndexView``). Hosts are
 shared: a per-Ray-session registry lends live hosts to each new pool,
 spawns only the missing ones, and ``shutdown`` kills a host as soon as
 no pool borrows it — so a searcher reopened while the old one is still
@@ -24,8 +24,10 @@ open pays the ``IndexSearcher`` open plus warmup, not a process spawn.
 The BM25 hot path keeps dedicated methods (``stats``, ``local_dfs``,
 ``search``, ``msearch``); every other shard op goes through ONE generic
 ``run(key, fn, *args, **kwargs)`` that evaluates ``fn(searcher, ...)``
-on the view. ``fn`` is an unbound ``IndexSearcher`` method or a
-module-level ``(searcher, ...)`` function, so it pickles by reference.
+on the view, and a multi-field op goes through ``run_views(keys, fn,
+...)``, which evaluates ``fn([searcher, ...], ...)`` over one view per
+field index. ``fn`` is an unbound ``IndexSearcher`` method or a
+module-level function, so it pickles by reference.
 
 Where shard ops live: every aggregation, term-dictionary, significance
 and scoring op is defined ONCE — query/aggs.py, query/suggest.py and
@@ -37,8 +39,10 @@ that this class and ``IndexSearcher`` both inherit. This module supplies
 their context: ``_all`` (one ``run`` per host), ``_topk`` (``_all`` plus
 the concat + ``topk_desc`` merge), and the cached global stats
 ``_gdfs`` (df) and ``_gcfs`` (LM collection frequency). Only the BM25
-hot path (``search_bm25``, ``msearch_bm25``, ``warmup``) and the
-multi-field ``search_multi_match`` are written here.
+hot path (``search_bm25``, ``msearch_bm25``, ``warmup``) is written
+here. The multi-field ops (query/multifield.py, the ``MultiFieldOps``
+list) run on ``MultiFieldDistributedSearcher``: one
+``DistributedSearcher`` per field index, all on the same hosts.
 
 At 256-node scale this is the serving topology: actors pinned per node
 via ``ray.remote(num_cpus=...)``, shard assignment from the manifest,
@@ -62,9 +66,8 @@ from ..index.deletes import TOMBSTONE_DIR
 from ..index.manifest import MANIFEST_NAME, IndexManifest
 from .bm25 import topk_desc
 from .engine import IndexSearcher
-from .multifield import search_multi_match
+from .multifield import MultiFieldOps
 from .ops import SharedOps
-from .scoring import _no_hits
 
 
 class StaleIndexView(RuntimeError):
@@ -73,55 +76,38 @@ class StaleIndexView(RuntimeError):
     after the coordinator opened it, e.g. before a host restart)."""
 
 
-def _index_digest(dirs: list[str]) -> str:
+def _index_digest(index_dir: str) -> str:
     """Digest of what an ``IndexSearcher`` open reads to fix its view:
-    ``manifest.json`` plus every tombstone file, for each index dir."""
+    ``manifest.json`` plus every tombstone file."""
     h = hashlib.sha1()
-    for d in dirs:
-        paths = [os.path.join(d, MANIFEST_NAME)]
-        tdir = os.path.join(d, TOMBSTONE_DIR)
-        if os.path.isdir(tdir):
-            paths += [os.path.join(tdir, f) for f in sorted(os.listdir(tdir))
-                      if f.endswith(".parquet")]
-        for p in paths:
-            with open(p, "rb") as f:
-                h.update(p.encode() + b"\0" + f.read())
+    paths = [os.path.join(index_dir, MANIFEST_NAME)]
+    tdir = os.path.join(index_dir, TOMBSTONE_DIR)
+    if os.path.isdir(tdir):
+        paths += [os.path.join(tdir, f) for f in sorted(os.listdir(tdir))
+                  if f.endswith(".parquet")]
+    for p in paths:
+        with open(p, "rb") as f:
+            h.update(p.encode() + b"\0" + f.read())
     return h.hexdigest()
 
 
-def _open_fields(
-    field_dirs: list, *, shards: list[int]
-) -> list[tuple[str, IndexSearcher, float]]:
-    """Multi-field view state: the SAME doc-shard subset of EVERY field
-    index (doc_shard = doc_id % num_doc_shards is field-independent, so
-    the per-field subsets are aligned by construction), as the (field,
-    IndexSearcher, boost) list search_multi_match takes."""
-    return [(f, IndexSearcher(d, shards=shards), b) for f, d, b in field_dirs]
-
-
-# The view states a view key can name: ``factory(source, shards=[...])``.
-_FACTORIES = {"index": IndexSearcher, "fields": _open_fields}
-
-
-def _open_view(key: list):
+def _open_view(key: list) -> IndexSearcher:
     """Open a view from its key — everything a host needs, by value:
-    ``[view id, factory name, source, shard chunk, digest]``, where the
-    source is an index dir or ``[[field, dir, boost], ...]`` and the
-    digest pins the index generation the coordinator read. Any other
-    generation is refused (checked before and after the open, so a
-    commit landing mid-open cannot slip a newer index in).
+    ``[view id, index dir, shard chunk, digest]``, where the digest pins
+    the index generation the coordinator read. Any other generation is
+    refused (checked before and after the open, so a commit landing
+    mid-open cannot slip a newer index in).
 
-    The key is a plain list of strs/ints/floats because every call
-    carries it: Ray ships such lists on its msgpack path, while a
-    dataclass or tuple is pickled (~10–25 µs per host per call)."""
-    _, factory, source, shards, digest = key
-    dirs = [source] if factory == "index" else [d for _, d, _ in source]
-    if _index_digest(dirs) == digest:
-        state = _FACTORIES[factory](source, shards=shards)
-        if _index_digest(dirs) == digest:
-            return state
+    The key is a plain list of strs/ints because every call carries it:
+    Ray ships such lists on its msgpack path, while a dataclass or tuple
+    is pickled (~10–25 µs per host per call)."""
+    _, index_dir, shards, digest = key
+    if _index_digest(index_dir) == digest:
+        view = IndexSearcher(index_dir, shards=shards)
+        if _index_digest(index_dir) == digest:
+            return view
     raise StaleIndexView(
-        f"index at {dirs} changed since this searcher was opened; "
+        f"index at {index_dir} changed since this searcher was opened; "
         "open a new searcher to see the current generation"
     )
 
@@ -129,13 +115,13 @@ def _open_view(key: list):
 @ray.remote
 class ShardHost:
     """A serving process shared by every searcher generation: ``views``
-    maps a view id to its state (an ``IndexSearcher``, or the multi-field
-    list), opened lazily from the view key each call carries."""
+    maps a view id to its ``IndexSearcher``, opened lazily from the view
+    key each call carries."""
 
     def __init__(self):
-        self.views: dict[str, object] = {}
+        self.views: dict[str, IndexSearcher] = {}
 
-    def _view(self, key: list):
+    def _view(self, key: list) -> IndexSearcher:
         state = self.views.get(key[0])
         if state is None:
             state = self.views[key[0]] = _open_view(key)
@@ -184,9 +170,14 @@ class ShardHost:
         ]
 
     def run(self, key: list, fn, *args, **kwargs):
-        """The generic shard op: ``fn(state, *args, **kwargs)`` over
+        """The generic shard op: ``fn(searcher, *args, **kwargs)`` over
         this view's shard subset."""
         return fn(self._view(key), *args, **kwargs)
+
+    def run_views(self, keys: list, fn, *args, **kwargs):
+        """A shard op over several views of one shard chunk (one per
+        field index): ``fn([searcher, ...], *args, **kwargs)``."""
+        return fn([self._view(k) for k in keys], *args, **kwargs)
 
 
 # Live shard hosts of the current Ray session → how many pools borrow
@@ -264,18 +255,6 @@ class _HostView:
         )
 
 
-# -- shard ops with shard-side logic (run on an actor via ``run``) --------
-
-
-def _field_dfs(fields: list, keys: list[tuple[str, str]]) -> list[int]:
-    """Local df per (field, term) key over a multi-field actor's subset."""
-    by_name = {f: s for f, s, _ in fields}
-    return [by_name[f].local_df(t) for f, t in keys]
-
-
-# -- coordinator-side merges ----------------------------------------------
-
-
 def _merge_topk(parts: list, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Concat the disjoint per-shard (docs, scores) top-ks, global cut."""
     docs = np.concatenate([p[0] for p in parts])
@@ -293,7 +272,7 @@ class _ShardPool:
     _co_located = False
 
     def __init__(
-        self, factory, source, digest: str, num_doc_shards: int, num_actors: int
+        self, index_dir: str, digest: str, num_doc_shards: int, num_actors: int
     ):
         if num_actors < 1:
             raise ValueError(f"num_actors must be >= 1, got {num_actors}")
@@ -302,7 +281,7 @@ class _ShardPool:
         chunks = [c for c in chunks if c]
         view = uuid.uuid4().hex
         self.actors = [
-            _HostView(h, [view, factory, source, c, digest])
+            _HostView(h, [view, index_dir, c, digest])
             for h, c in zip(_borrow(len(chunks)), chunks)
         ]
         for a in self.actors:
@@ -360,15 +339,14 @@ class DistributedSearcher(SharedOps, _ShardPool):
         # digest BEFORE the manifest read: a commit landing in between
         # then fails the hosts' digest check instead of pairing these
         # stats with a newer index
-        digest = _index_digest([index_dir])
+        digest = _index_digest(index_dir)
         manifest = IndexManifest.load(index_dir)
         if manifest is None:
             raise FileNotFoundError(index_dir)
-        super().__init__(
-            "index", index_dir, digest, manifest.num_doc_shards, num_actors
-        )
+        super().__init__(index_dir, digest, manifest.num_doc_shards, num_actors)
         self.manifest = manifest
         self.n_docs = manifest.n_docs
+        self.avgdl = manifest.avgdl
         # coordinator-side global-df cache: dfs are immutable per
         # searcher generation (the hosts' views are pinned to the index
         # generation this constructor read; a reopen is a new searcher
@@ -431,15 +409,19 @@ class DistributedSearcher(SharedOps, _ShardPool):
         ]
 
 
-class MultiFieldDistributedSearcher(_ShardPool):
-    """Distributed multi_match: per-field global-df phase, shard-local
-    scoring (global n_docs/avgdl come from each field's manifest), and
-    a concat + top-k merge over the disjoint doc shards."""
+class MultiFieldDistributedSearcher(MultiFieldOps):
+    """The multi-field pool: one ``DistributedSearcher`` per field index,
+    all on the same hosts, so a multi-field shard kernel runs once per
+    host over that host's per-field views (``run_views``); per-field
+    dfs come from each field pool's cached ``_gdfs``."""
+
+    # one ActorDiedError path and one merge for both pool shapes
+    _call = _ShardPool._call
+    _topk = _ShardPool._topk
 
     def __init__(
         self, field_dirs: list[tuple[str, str, float]], num_actors: int = 2
     ):
-        digest = _index_digest([d for _, d, _ in field_dirs])
         manifests = [IndexManifest.load(d) for _, d, _ in field_dirs]
         if any(m is None for m in manifests):
             raise FileNotFoundError("missing field index manifest")
@@ -449,35 +431,27 @@ class MultiFieldDistributedSearcher(_ShardPool):
                 "multi_match field indexes must share num_doc_shards "
                 f"(got {sorted(shards_n)}) so doc shards stay aligned"
             )
-        super().__init__(
-            "fields", [list(t) for t in field_dirs], digest, shards_n.pop(),
-            num_actors,
-        )
-        # per-(field, term) df cache, same immutability argument as
-        # DistributedSearcher._gdf
-        self._gdf: dict[tuple[str, str], float] = {}
-        self._field_names = [f for f, _, _ in field_dirs]
+        self.fields = [
+            (f, DistributedSearcher(d, num_actors), b) for f, d, b in field_dirs
+        ]
+        pools = [p for _, p, _ in self.fields]
+        # _borrow lends a prefix of the spawn order and the fields share
+        # num_doc_shards, so host i holds the same doc-shard chunk of
+        # every field index (doc_shard = doc_id % num_doc_shards)
+        placement = [(a.host, a.key[2]) for a in pools[0].actors]
+        assert all([(a.host, a.key[2]) for a in p.actors] == placement
+                   for p in pools)
+        self.actors = [
+            _HostView(a.host, [p.actors[i].key for p in pools])
+            for i, a in enumerate(pools[0].actors)
+        ]
 
-    def search_multi_match(
-        self,
-        terms: list[str],
-        k: int = 10,
-        *,
-        match_type: str = "best_fields",
-        tie_breaker: float = 0.0,
-    ):
-        sterms = sorted(set(terms))
-        if not sterms:
-            return _no_hits()
-        keys = [(f, t) for f in self._field_names for t in sterms]
-        flat = self._resolve(
-            self._gdf, lambda m: self._all(_field_dfs, m), keys
-        )
-        n = len(sterms)
-        gdfs = {
-            f: flat[i * n:(i + 1) * n] for i, f in enumerate(self._field_names)
-        }
-        return self._topk(
-            k, search_multi_match, sterms, k, match_type=match_type,
-            tie_breaker=tie_breaker, global_dfs=gdfs,
-        )
+    def _all(self, fn, /, *args, **kwargs) -> list:
+        """Run the multi-field shard op ``fn([view per field], ...)`` on
+        every host; per-host results."""
+        return self._call("run_views", fn, *args, **kwargs)
+
+    def shutdown(self) -> None:
+        for _, p, _ in self.fields:
+            p.shutdown()
+        self.actors = []

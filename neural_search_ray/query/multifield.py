@@ -1,11 +1,11 @@
-"""Multi-field search: the ``multi_match`` query family.
+"""Multi-field search: the ``multi_match`` and ``combined_fields`` queries.
 
 The reference's engine (like OpenSearch) indexes several text fields per
 document and lets one query span them. Ray-native shape: each field is
 its OWN index over the same doc-id space (one ``build_index`` call per
-field column), and ``search_multi_match`` combines per-field BM25 scores
-coordinator-side — no cross-field state ever lives in one posting list,
-so fields can be built, merged, and compacted independently.
+field column), and the multi-field ops combine per-field scores — no
+cross-field state ever lives in one posting list, so fields can be
+built, merged, and compacted independently.
 
 Semantics mirror Lucene's MultiMatchQuery rewrites
 (reference analogue: query construction in
@@ -25,6 +25,21 @@ Semantics mirror Lucene's MultiMatchQuery rewrites
 
 Field boosts multiply that field's score contribution (``title^2``).
 
+Context shape (query/scoring.py, over several fields): each op is one
+function ``op(s, ...)`` over a multi-field context whose ``fields`` are
+``[(field, field context, boost)]``, one searcher context per field
+index. An op validates its arguments, resolves its stats through the
+context — per-field global dfs ``s._gdfs(terms, field)``, the
+combined_fields union dfs ``Σ s._all(partial)``, n_docs and avgdl from
+the field contexts — and runs ONE shard kernel that takes them as
+required arguments, merged by ``s._topk``. A kernel gets the shard's
+per-field searchers as a list aligned to ``fields``. Both contexts bind
+the ``MultiFieldOps`` list: ``MultiFieldSearcher`` (in-process, over
+``IndexSearcher``s) and ``MultiFieldDistributedSearcher``
+(query/distributed.py: one ``DistributedSearcher`` per field, on the
+same shard hosts). ``search_as_you_type`` stays a function over a field
+list: it scores with each field's local stats and has no pool.
+
 Float discipline: per-field scores reuse ``_bm25_union_scores`` (same
 accumulation order as ``search_bm25``); cross-field per-term max is
 order-independent, and the final over-terms sum runs in sorted-term
@@ -37,6 +52,7 @@ import numpy as np
 
 from .bm25 import bm25_term_idfs, topk_desc
 from .engine import IndexSearcher
+from .scoring import _no_hits, _saturate
 
 MULTI_MATCH_TYPES = ("best_fields", "most_fields", "cross_fields")
 
@@ -56,180 +72,115 @@ def _union_accumulate(
     return union, mat
 
 
+def _n_docs(s) -> int:
+    """The collection size every field index shares — per-field indexes
+    are parallel projections of ONE document set."""
+    n_docs = s.fields[0][1].n_docs
+    for _, fs, _ in s.fields[1:]:
+        if fs.n_docs != n_docs:
+            raise ValueError(
+                "multi-field indexes must cover the same corpus "
+                f"(n_docs {fs.n_docs} != {n_docs})"
+            )
+    return n_docs
+
+
+# -- multi_match --------------------------------------------------------------
+
+
+def _fields_topk(
+    views, boosts, sterms, k, gdfs, match_type, tie_breaker
+) -> tuple[np.ndarray, np.ndarray]:
+    """best_fields / most_fields: per-field boolean-OR BM25 under that
+    field's global dfs, boosted, combined per doc."""
+    parts = []
+    for v, boost, gdf in zip(views, boosts, gdfs):
+        docs, scores = v._bm25_union_scores(sterms, gdf)
+        if docs.size:
+            parts.append((docs, scores * boost if boost != 1.0 else scores))
+    if not parts:
+        return _no_hits()
+    union, mat = _union_accumulate(parts)
+    if match_type == "most_fields":
+        return topk_desc(union, mat.sum(axis=0), k)
+    mx = mat.max(axis=0)
+    return topk_desc(union, mx + tie_breaker * (mat.sum(axis=0) - mx), k)
+
+
+def _cross_topk(views, boosts, sterms, k, idfs) -> tuple[np.ndarray, np.ndarray]:
+    """cross_fields: per term, each field's saturated tf under the
+    blended idf, boosted, max across fields; terms sum on the union."""
+    term_parts = []
+    for t, idf in zip(sterms, idfs):
+        if idf == 0.0:
+            continue
+        fparts = []
+        for v, boost in zip(views, boosts):
+            docs, tfs = v.postings(t)
+            if docs.size:
+                sc = _saturate(v, docs, tfs, idf)
+                fparts.append((docs, sc * boost if boost != 1.0 else sc))
+        if fparts:
+            union_t, mat_t = _union_accumulate(fparts)
+            term_parts.append((union_t, mat_t.max(axis=0)))
+    if not term_parts:
+        return _no_hits()
+    union, mat = _union_accumulate(term_parts)
+    return topk_desc(union, mat.sum(axis=0), k)
+
+
 def search_multi_match(
-    field_searchers: list[tuple[str, IndexSearcher, float]],
+    s,
     terms: list[str],
     k: int = 10,
     *,
     match_type: str = "best_fields",
     tie_breaker: float = 0.0,
-    global_dfs: dict[str, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k multi_match over per-field indexes sharing one doc-id space.
-
-    ``field_searchers``: [(field_name, searcher, boost)]. Every searcher
-    must index the SAME corpus (same n_docs) — per-field indexes are
-    parallel projections of one document set.
-
-    ``global_dfs``: optional {field: df array aligned to sorted-unique
-    terms} for shard-subset actors (the dis_max distributed pattern).
-    """
+    """Top-k multi_match over the context's per-field indexes, which
+    must index the SAME corpus (same n_docs). Bad arguments are refused
+    here, before any fan-out."""
     if match_type not in MULTI_MATCH_TYPES:
         raise ValueError(f"match_type must be one of {MULTI_MATCH_TYPES}")
     if not 0.0 <= tie_breaker <= 1.0:
         raise ValueError("tie_breaker must be in [0, 1]")
-    empty = (np.empty(0, np.int64), np.empty(0, np.float64))
     sterms = sorted(set(terms))
-    if not sterms or not field_searchers:
-        return empty
-    n_docs = field_searchers[0][1].n_docs
-    for _, s, _ in field_searchers[1:]:
-        if s.n_docs != n_docs:
-            raise ValueError(
-                "multi_match field indexes must cover the same corpus "
-                f"(n_docs {s.n_docs} != {n_docs})"
-            )
-
+    if not sterms or not s.fields:
+        return _no_hits()
+    n_docs = _n_docs(s)
+    boosts = [b for _, _, b in s.fields]
+    gdfs = [s._gdfs(sterms, f) for f, _, _ in s.fields]
     if match_type == "cross_fields":
-        return _cross_fields(field_searchers, sterms, k, global_dfs)
-
-    parts = []
-    for field, s, boost in field_searchers:
-        gdf = None if global_dfs is None else global_dfs[field]
-        docs, scores = s._bm25_union_scores(sterms, gdf)
-        if docs.size:
-            parts.append((docs, scores * boost if boost != 1.0 else scores))
-    if not parts:
-        return empty
-    union, mat = _union_accumulate(parts)
-    if match_type == "most_fields":
-        return topk_desc(union, mat.sum(axis=0), k)
-    mx = mat.max(axis=0)
-    total = mat.sum(axis=0)
-    return topk_desc(union, mx + tie_breaker * (total - mx), k)
+        # BlendedTermQuery.blend: the df ceiling is the max across fields
+        idfs = bm25_term_idfs(np.maximum.reduce(gdfs), n_docs)
+        return s._topk(k, _cross_topk, boosts, sterms, k, idfs)
+    return s._topk(
+        k, _fields_topk, boosts, sterms, k, gdfs, match_type, tie_breaker
+    )
 
 
-def _cross_fields(
-    field_searchers: list[tuple[str, IndexSearcher, float]],
-    sterms: list[str],
-    k: int,
-    global_dfs: dict[str, np.ndarray] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Term-centric blended-df scoring (BlendedTermQuery.blend: df ceiling
-    = max across fields; per-term dismax across fields, tie_breaker=0)."""
-    n_docs = field_searchers[0][1].n_docs
-    # per-field dfs aligned to sterms
-    dfs_by_field = {}
-    for field, s, _ in field_searchers:
-        if global_dfs is not None:
-            dfs_by_field[field] = np.asarray(global_dfs[field], dtype=np.float64)
-        else:
-            dfs_by_field[field] = np.asarray(
-                [s.local_df(t) for t in sterms], dtype=np.float64
-            )
-    df_blend = np.maximum.reduce(list(dfs_by_field.values()))
-    idfs = bm25_term_idfs(df_blend, n_docs)
-
-    # per-term: (docs, max-over-fields score); collected, then summed on
-    # the global union in sorted-term order
-    term_parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for ti, t in enumerate(sterms):
-        if idfs[ti] == 0.0:
-            continue
-        fparts = []
-        for field, s, boost in field_searchers:
-            docs, tfs = s.postings(t)
-            if docs.size == 0:
-                continue
-            dl = s.doc_length(docs)
-            k1, b = s.bm25.k1, s.bm25.b
-            sc = idfs[ti] * tfs / (tfs + k1 * (1.0 - b + b * dl / s.avgdl))
-            if boost != 1.0:
-                sc = sc * boost
-            fparts.append((docs, sc))
-        if not fparts:
-            continue
-        union_t, mat_t = _union_accumulate(fparts)
-        term_parts.append((union_t, mat_t.max(axis=0)))
-    if not term_parts:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    union, mat = _union_accumulate(term_parts)
-    return topk_desc(union, mat.sum(axis=0), k)
+# -- combined_fields ----------------------------------------------------------
 
 
-def search_combined_fields(
-    field_searchers: list[tuple[str, IndexSearcher, float]],
-    terms: list[str],
-    k: int = 10,
-    *,
-    global_stats: dict[str, tuple[np.ndarray, float]] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """ES/Lucene ``combined_fields`` query (CombinedFieldQuery): BM25
-    over a VIRTUAL field that concatenates the per-field token streams
-    with per-field weights — term-centric, unlike multi_match's
-    score-combining rewrites.
-
-    Per document the virtual field has
-      tf'(t, d)  = sum_f w_f * tf_f(t, d)
-      dl'(d)     = sum_f w_f * dl_f(d)
-      avgdl'     = sum_f w_f * avgdl_f        (linearity of the mean —
-                   every searcher covers the same doc set)
-      df'(t)     = |union_f postings_f(t)|    (the term's true document
-                   frequency in the virtual field)
-    and each query term scores
-      idf(df') * tf' / (tf' + k1 * (1 - b + b * dl'/avgdl'))
-    with terms combining as independent should-clauses (sum, evaluated
-    in sorted-term order — the suite oracle's float discipline).
-
-    ``global_stats``: optional ``{"df": per-term virtual-field dfs
-    aligned to sorted-unique terms, "avgdl": virtual avgdl}`` for
-    shard-subset actors (per-shard doc spaces are disjoint, so union
-    dfs SUM across shards — the same coordinator protocol as plain
-    BM25's global df).
-
-    Weighted integer tf/dl sums are exact in float64, so scores are
-    bit-identical across shard layouts.
-    """
-    sterms = sorted(set(terms))
-    empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-    if not sterms or not field_searchers:
-        return empty
-    base = field_searchers[0][1]
-    n_docs = base.n_docs
-    k1, b = base.bm25.k1, base.bm25.b
-
-    # per-term per-field postings gathered once (LRU-cached in-searcher)
-    posts = {
-        (f, t): s.postings(t)
-        for f, s, _ in field_searchers
+def _union_dfs(views, sterms) -> list[int]:
+    """Per term, how many of this shard's docs hold it in ANY field."""
+    return [
+        np.unique(np.concatenate([v.postings(t)[0] for v in views])).size
         for t in sterms
-    }
-    if global_stats is not None:
-        dfs = np.asarray(global_stats["df"], dtype=np.float64)
-        avgdl_c = float(global_stats["avgdl"])
-    else:
-        dfs = np.asarray(
-            [
-                np.unique(
-                    np.concatenate(
-                        [posts[(f, t)][0] for f, _, _ in field_searchers]
-                    )
-                ).size
-                for t in sterms
-            ],
-            dtype=np.float64,
-        )
-        avgdl_c = float(
-            sum(w * s.avgdl for _, s, w in field_searchers)
-        )
-    idfs = bm25_term_idfs(dfs, n_docs)
+    ]
 
-    term_parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for ti, t in enumerate(sterms):
-        if idfs[ti] == 0.0:
+
+def _combined_topk(
+    views, weights, sterms, k, idfs, avgdl: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """BM25 over the weighted virtual field (see search_combined_fields)."""
+    k1, b = views[0].bm25.k1, views[0].bm25.b
+    term_parts = []
+    for t, idf in zip(sterms, idfs):
+        if idf == 0.0:
             continue
-        fdocs = [posts[(f, t)][0] for f, _, _ in field_searchers]
-        nonempty = [d for d in fdocs if d.size]
+        posts = [v.postings(t) for v in views]
+        nonempty = [d for d, _ in posts if d.size]
         if not nonempty:
             continue
         union_t = (
@@ -239,19 +190,86 @@ def search_combined_fields(
         )
         tf_c = np.zeros(union_t.size, dtype=np.float64)
         dl_c = np.zeros(union_t.size, dtype=np.float64)
-        for f, s, w in field_searchers:
-            docs, tfs = posts[(f, t)]
+        for v, w, (docs, tfs) in zip(views, weights, posts):
             if docs.size:
                 tf_c[np.searchsorted(union_t, docs)] += w * tfs
-            dl_c += w * s.doc_length(union_t)
-        sc = idfs[ti] * tf_c / (
-            tf_c + k1 * (1.0 - b + b * dl_c / avgdl_c)
-        )
+            dl_c += w * v.doc_length(union_t)
+        sc = idf * tf_c / (tf_c + k1 * (1.0 - b + b * dl_c / avgdl))
         term_parts.append((union_t, sc))
     if not term_parts:
-        return empty
+        return _no_hits()
     union, mat = _union_accumulate(term_parts)
     return topk_desc(union, mat.sum(axis=0), k)
+
+
+def search_combined_fields(
+    s, terms: list[str], k: int = 10
+) -> tuple[np.ndarray, np.ndarray]:
+    """ES/Lucene ``combined_fields`` query (CombinedFieldQuery): BM25
+    over a VIRTUAL field that concatenates the per-field token streams
+    with per-field weights (the field boosts) — term-centric, unlike
+    multi_match's score-combining rewrites.
+
+    Per document the virtual field has
+      tf'(t, d)  = sum_f w_f * tf_f(t, d)
+      dl'(d)     = sum_f w_f * dl_f(d)
+      avgdl'     = sum_f w_f * avgdl_f        (linearity of the mean —
+                   every field index covers the same doc set)
+      df'(t)     = |union_f postings_f(t)|    (the term's true document
+                   frequency in the virtual field; per-shard doc spaces
+                   are disjoint, so the shard union dfs SUM exactly)
+    and each query term scores
+      idf(df') * tf' / (tf' + k1 * (1 - b + b * dl'/avgdl'))
+    with terms combining as independent should-clauses (sum, evaluated
+    in sorted-term order — the suite oracle's float discipline).
+
+    Weighted integer tf/dl sums are exact in float64, so scores are
+    bit-identical across shard layouts.
+    """
+    sterms = sorted(set(terms))
+    if not sterms or not s.fields:
+        return _no_hits()
+    n_docs = _n_docs(s)
+    dfs = np.sum(s._all(_union_dfs, sterms), axis=0)
+    avgdl = float(sum(w * fs.avgdl for _, fs, w in s.fields))
+    return s._topk(
+        k, _combined_topk, [w for _, _, w in s.fields], sterms, k,
+        bm25_term_idfs(dfs, n_docs), avgdl,
+    )
+
+
+# -- the contexts -------------------------------------------------------------
+
+
+class MultiFieldOps:
+    """The multi-field op list, bound on the in-process context and on
+    the pool. A context supplies ``fields`` and ``_all`` / ``_topk``
+    over the per-field shard searchers."""
+
+    search_multi_match = search_multi_match
+    search_combined_fields = search_combined_fields
+
+    def _gdfs(self, terms: list[str], field: str) -> np.ndarray:
+        """Global dfs of ``terms`` in ``field``: its field context's
+        (cached on a pool)."""
+        return next(fs for f, fs, _ in self.fields if f == field)._gdfs(terms)
+
+
+class MultiFieldSearcher(MultiFieldOps):
+    """In-process multi-field context over ``[(field, IndexSearcher,
+    boost)]``: each kernel runs once over the field searchers, and its
+    result already is the top-k."""
+
+    def __init__(self, fields: list[tuple[str, IndexSearcher, float]]):
+        self.fields = list(fields)
+
+    def _all(self, fn, /, *args, **kwargs) -> list:
+        """The shard op ``fn`` over the field searchers: one partial."""
+        return [fn([fs for _, fs, _ in self.fields], *args, **kwargs)]
+
+    def _topk(self, k: int, fn, /, *args, **kwargs):
+        """The kernel's one partial already is the top-k."""
+        return self._all(fn, *args, **kwargs)[0]
 
 
 def search_as_you_type(

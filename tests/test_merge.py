@@ -11,7 +11,12 @@ import ray
 from neural_search_ray.analysis.analyzer import tokenize
 from neural_search_ray.config import IndexConfig
 from neural_search_ray.index.build import build_index
-from neural_search_ray.index.manifest import FORMAT_VERSION_CURRENT, IndexManifest
+from neural_search_ray.index.manifest import (
+    FORMAT_VERSION_CURRENT,
+    IndexManifest,
+    group_row,
+    segment_entry,
+)
 from neural_search_ray.index.merge import merge_segments
 from neural_search_ray.query.engine import IndexSearcher
 
@@ -80,6 +85,22 @@ def test_merge_resume_noop(merged):
     m2 = merge_segments(index_dir, "merged-000")
     assert list(m2.segments) == ["merged-000"]
     assert _results(IndexSearcher(index_dir)) == pre
+
+
+def test_segment_entry_lists_files_in_canonical_order():
+    """A writer's tasks return their group rows in any order; the
+    segment's manifest entry lists its files by (doc_shard, term_bucket,
+    path) all the same."""
+    rows = [
+        group_row(s, b, f"seg/{s}-{b}-{p}.parquet", n_terms=1, n_postings=2)
+        for s in (1, 0) for b in (2, -1, 0) for p in ("b", "a")
+    ]
+    want = segment_entry("seg", [], sorted(
+        rows, key=lambda r: (r["doc_shard"], r["term_bucket"], r["path"])))
+    for order in (rows, rows[::-1], rows[3:] + rows[:3]):
+        assert segment_entry("seg", [], order) == want
+    assert [(f["doc_shard"], f["term_bucket"]) for f in want["files"]][:3] == [
+        (0, -1), (0, -1), (0, 0)]
 
 
 def test_merge_single_segment_noop(tmp_path, sf_dir, ray_session):

@@ -13,7 +13,7 @@ from neural_search_ray.corpus.generator import _gen_batch, generate_pages
 from neural_search_ray.index.build import build_index
 from neural_search_ray.pipelines.suite import _title_batch
 from neural_search_ray.query.engine import IndexSearcher
-from neural_search_ray.query.multifield import search_multi_match
+from neural_search_ray.query.multifield import MultiFieldSearcher
 
 from tests.oracle import OracleIndex
 
@@ -114,8 +114,8 @@ def test_multi_match_identity(mf, match_type, tb):
     fields_o = [("title", mf["title"][1], 2.0), ("text", mf["body"][1], 1.0)]
     for q in QUERIES:
         terms = q.split()
-        d, sc = search_multi_match(
-            fields_s, terms, k=10, match_type=match_type, tie_breaker=tb
+        d, sc = MultiFieldSearcher(fields_s).search_multi_match(
+            terms, k=10, match_type=match_type, tie_breaker=tb
         )
         od, osc = _ref_multi_match(fields_o, terms, match_type, tb)
         assert d.tolist() == od, (match_type, q)
@@ -125,9 +125,10 @@ def test_multi_match_identity(mf, match_type, tb):
 def test_multi_match_validation(mf):
     fields = [("text", mf["body"][0], 1.0)]
     with pytest.raises(ValueError, match="match_type"):
-        search_multi_match(fields, ["data"], match_type="phrase_fields")
+        MultiFieldSearcher(fields).search_multi_match(
+            ["data"], match_type="phrase_fields")
     with pytest.raises(ValueError, match="tie_breaker"):
-        search_multi_match(fields, ["data"], tie_breaker=1.5)
+        MultiFieldSearcher(fields).search_multi_match(["data"], tie_breaker=1.5)
 
 
 def test_multi_match_corpus_mismatch(mf, tmp_path, ray_session):
@@ -137,7 +138,7 @@ def test_multi_match_corpus_mismatch(mf, tmp_path, ray_session):
     )
     fields = [("text", mf["body"][0], 1.0), ("other", IndexSearcher(small_dir), 1.0)]
     with pytest.raises(ValueError, match="same corpus"):
-        search_multi_match(fields, ["data"])
+        MultiFieldSearcher(fields).search_multi_match(["data"])
 
 
 def test_match_bool_prefix_equals_query_string(mf):
@@ -177,8 +178,8 @@ def test_distributed_multi_match_identity(mf, tmp_path_factory, ray_session):
                 dd, ds_ = d.search_multi_match(
                     q.split(), k=10, match_type=mt, tie_breaker=tb
                 )
-                sd, ss = search_multi_match(
-                    fields_s, q.split(), k=10, match_type=mt, tie_breaker=tb
+                sd, ss = MultiFieldSearcher(fields_s).search_multi_match(
+                    q.split(), k=10, match_type=mt, tie_breaker=tb
                 )
                 assert dd.tolist() == sd.tolist(), (mt, q)
                 assert np.allclose(ds_, ss, atol=1e-12), (mt, q)
@@ -264,13 +265,11 @@ def _ref_combined_fields(fields, terms, k=10):
 
 
 def test_combined_fields_identity(mf):
-    from neural_search_ray.query.multifield import search_combined_fields
-
     fields_s = [("title", mf["title"][0], 2.0), ("text", mf["body"][0], 1.0)]
     fields_o = [("title", mf["title"][1], 2.0), ("text", mf["body"][1], 1.0)]
     for q in QUERIES:
         terms = q.split()
-        d, sc = search_combined_fields(fields_s, terms, k=10)
+        d, sc = MultiFieldSearcher(fields_s).search_combined_fields(terms, k=10)
         od, osc = _ref_combined_fields(fields_o, terms)
         assert d.tolist() == od, q
         assert np.allclose(sc, osc, atol=1e-9), q
@@ -279,58 +278,72 @@ def test_combined_fields_identity(mf):
 def test_combined_fields_differs_from_most_fields(mf):
     """The virtual-field blend must NOT equal per-field score summing
     (if it did, the operator would be redundant with most_fields)."""
-    from neural_search_ray.query.multifield import search_combined_fields
-
-    fields_s = [("title", mf["title"][0], 2.0), ("text", mf["body"][0], 1.0)]
-    _, cf = search_combined_fields(fields_s, ["the", "data"], k=10)
-    _, most = search_multi_match(
-        fields_s, ["the", "data"], k=10, match_type="most_fields"
+    fields_s = MultiFieldSearcher(
+        [("title", mf["title"][0], 2.0), ("text", mf["body"][0], 1.0)])
+    _, cf = fields_s.search_combined_fields(["the", "data"], k=10)
+    _, most = fields_s.search_multi_match(
+        ["the", "data"], k=10, match_type="most_fields"
     )
     assert not np.allclose(cf, most)
 
 
-def test_combined_fields_global_stats_shard_identity(mf, tmp_path_factory):
-    """Shard-subset actors with coordinator-resolved virtual-field
-    stats (summed union dfs + global avgdl') must reproduce the
-    single-searcher scores bit-identically."""
-    import pyarrow as pa
-
-    from neural_search_ray.query.engine import IndexSearcher
-    from neural_search_ray.query.multifield import search_combined_fields
+def test_combined_fields_global_stats_shard_identity(mf):
+    """The pool — union dfs summed over its shard hosts, avgdl' from the
+    field contexts — must reproduce the single-searcher scores
+    bit-identically."""
+    from neural_search_ray.query.distributed import MultiFieldDistributedSearcher
 
     body, title = mf["body"][0], mf["title"][0]
     fields_full = [("title", title, 2.0), ("text", body, 1.0)]
     terms = ["the", "data", "query"]
-    full_d, full_s = search_combined_fields(fields_full, terms, k=10)
+    full_d, full_s = MultiFieldSearcher(fields_full).search_combined_fields(
+        terms, k=10)
 
-    sterms = sorted(set(terms))
-    avgdl_c = 2.0 * title.avgdl + 1.0 * body.avgdl
-    # per-shard-subset searchers over each index's shard halves
-    halves = [list(range(0, 1)), list(range(1, 2))]
-    parts = []
-    gdfs = np.zeros(len(sterms))
-    subs = []
-    for h in halves:
-        tsub = IndexSearcher(title.index_dir, shards=h)
-        bsub = IndexSearcher(body.index_dir, shards=h)
-        subs.append([("title", tsub, 2.0), ("text", bsub, 1.0)])
-        for ti, t in enumerate(sterms):
-            u = np.unique(
-                np.concatenate([tsub.postings(t)[0], bsub.postings(t)[0]])
-            )
-            gdfs[ti] += u.size
-    for fs in subs:
-        d, s = search_combined_fields(
-            fs, terms, k=10, global_stats={"df": gdfs, "avgdl": avgdl_c}
-        )
-        parts.append((d, s))
-    docs = np.concatenate([p[0] for p in parts])
-    scores = np.concatenate([p[1] for p in parts])
-    from neural_search_ray.query.bm25 import topk_desc
-
-    md, ms = topk_desc(docs, scores, 10)
+    d = MultiFieldDistributedSearcher(
+        [("title", title.index_dir, 2.0), ("text", body.index_dir, 1.0)],
+        num_actors=2,
+    )
+    try:
+        md, ms = d.search_combined_fields(terms, k=10)
+    finally:
+        d.shutdown()
     assert md.tolist() == full_d.tolist()
     assert np.allclose(ms, full_s, atol=0)
+
+
+def test_pool_refuses_bad_multi_field_queries_before_fan_out(
+    mf, tmp_path, ray_session
+):
+    """A bad match_type, a tie_breaker outside [0, 1] or fields over
+    different corpora raise a plain ValueError on the coordinator, before
+    any df fan-out, not a task error from inside a shard host."""
+    from neural_search_ray.query.distributed import MultiFieldDistributedSearcher
+
+    small_dir = str(tmp_path / "small")
+    build_index(
+        generate_pages(50, seed=9), small_dir, IndexConfig(num_shards=2, num_salts=1)
+    )
+    body_dir = mf["body"][0].index_dir
+    d = MultiFieldDistributedSearcher([("text", body_dir, 1.0)], num_actors=2)
+    mixed = MultiFieldDistributedSearcher(
+        [("text", body_dir, 1.0), ("other", small_dir, 1.0)], num_actors=2
+    )
+    try:
+        for pool, kwargs, match in [
+            (d, {"match_type": "phrase_fields"}, "match_type"),
+            (d, {"tie_breaker": 1.5}, "tie_breaker"),
+            (mixed, {}, "same corpus"),
+        ]:
+            with pytest.raises(ValueError, match=match) as exc:
+                pool.search_multi_match(["data"], **kwargs)
+            assert type(exc.value) is ValueError
+        with pytest.raises(ValueError, match="same corpus") as exc:
+            mixed.search_combined_fields(["data"])
+        assert type(exc.value) is ValueError
+        assert all(not p._gdf for p in (d.fields[0][1], mixed.fields[0][1]))
+    finally:
+        d.shutdown()
+        mixed.shutdown()
 
 
 class TestSearchAsYouType:

@@ -3,7 +3,9 @@
 defined once (query/aggs.py, query/suggest.py, query/significant.py,
 query/scoring.py and the query-string grammars), and give identical
 results — values and types, scores bit for bit — at 1 and 3 shard hosts,
-over matching, empty and out-of-vocabulary inputs."""
+over matching, empty and out-of-vocabulary inputs. The multi-field ops
+(query/multifield.py) hold the same way for ``MultiFieldSearcher`` and
+``MultiFieldDistributedSearcher``."""
 
 import ast
 import inspect
@@ -22,11 +24,16 @@ from neural_search_ray.config import IndexConfig
 from neural_search_ray.index.build import build_index
 from neural_search_ray.index.docvalues import build_doc_values
 from neural_search_ray.index.forward import build_forward_index
+from neural_search_ray.pipelines.suite import _title_batch
 from neural_search_ray.query import (
-    aggs, queryparser, querystring, scoring, significant, suggest,
+    aggs, multifield, queryparser, querystring, scoring, significant, suggest,
 )
-from neural_search_ray.query.distributed import DistributedSearcher
+from neural_search_ray.query.distributed import (
+    DistributedSearcher,
+    MultiFieldDistributedSearcher,
+)
 from neural_search_ray.query.engine import IndexSearcher
+from neural_search_ray.query.multifield import MultiFieldSearcher
 from neural_search_ray.query.scripts import SCORE_SCRIPTS
 
 QUERY_DIR = os.path.join(
@@ -78,6 +85,11 @@ SCORING["search_query_string"] = queryparser.search_query_string
 SCORING["search_simple_query_string"] = querystring.search_simple_query_string
 SCORING["search_match_bool_prefix"] = querystring.search_match_bool_prefix
 SHARED.update(SCORING)
+# bound on both multi-field contexts
+MULTI_FIELD = {
+    name: getattr(multifield, name)
+    for name in ("search_multi_match", "search_combined_fields")
+}
 # bound on IndexSearcher only: a dictionary expansion over one shard, and
 # two aggs whose merge over shards is not exact
 LOCAL = {
@@ -138,6 +150,26 @@ def searchers(tmp_path_factory, sf_dir, ray_session):
         p.shutdown()
 
 
+@pytest.fixture(scope="module")
+def multi_fields(tmp_path_factory, sf_dir, searchers):
+    """(MultiFieldSearcher, {1: pool, 3: pool}) over (title^2, text): the
+    shared-ops index as the text field plus a title index over the same
+    docs and doc shards."""
+    title = str(tmp_path_factory.mktemp("shared_ops_title"))
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
+    build_index(
+        docs.select_columns(["doc_id", "text"]).map_batches(
+            _title_batch, batch_format="pyarrow"),
+        title, IndexConfig(num_shards=4, num_salts=1), text_column="title",
+    )
+    fields = [("title", IndexSearcher(title), 2.0), ("text", searchers[0], 1.0)]
+    dirs = [(f, s.index_dir, b) for f, s, b in fields]
+    pools = {n: MultiFieldDistributedSearcher(dirs, n) for n in (1, 3)}
+    yield MultiFieldSearcher(fields), pools
+    for p in pools.values():
+        p.shutdown()
+
+
 def _query_defs() -> dict[str, int]:
     """How many times each function name is defined under query/."""
     defs: dict[str, int] = {}
@@ -165,6 +197,11 @@ def test_each_op_has_one_definition_bound_on_both_searchers():
     for helper in ("_all", "_topk", "_gdfs", "_gcfs"):
         assert helper in IndexSearcher.__dict__
         assert hasattr(DistributedSearcher, helper)
+    for name, fn in MULTI_FIELD.items():
+        assert defs.get(name) == 1, name
+        assert inspect.getattr_static(MultiFieldSearcher, name) is fn, name
+        assert inspect.getattr_static(
+            MultiFieldDistributedSearcher, name) is fn, name
 
 
 def test_index_searcher_is_a_reader_plus_the_op_list():
@@ -370,6 +407,26 @@ def test_index_and_distributed_searchers_agree(searchers, op, kind, num_actors):
             want = {k: v for k, v in want.items()
                     if k not in ("skew_x", "kurt_x")}
         _assert_same(got, want, where)
+
+
+@pytest.mark.parametrize("num_actors", [1, 3])
+@pytest.mark.parametrize("kind", ["match", "empty", "oov"])
+def test_multi_field_contexts_agree(multi_fields, kind, num_actors):
+    """The multi-field pool returns the in-process context's doc ids and
+    scores bit for bit, for every multi_match type and combined_fields."""
+    single, pools = multi_fields
+    terms = {"match": MATCH, "empty": EMPTY, "oov": OOV}[kind]
+    for op, kwargs in [
+        ("search_multi_match", {"match_type": "best_fields", "tie_breaker": 0.3}),
+        ("search_multi_match", {"match_type": "most_fields"}),
+        ("search_multi_match", {"match_type": "cross_fields"}),
+        ("search_combined_fields", {}),
+    ]:
+        where = f"{op}{kwargs}"
+        want = getattr(single, op)(terms, k=20, **kwargs)
+        assert bool(want[0].size) == (kind == "match"), where
+        _assert_same(getattr(pools[num_actors], op)(terms, k=20, **kwargs),
+                     want, where)
 
 
 @pytest.mark.parametrize("op", sorted(QUANTILES))
