@@ -75,8 +75,8 @@ class IndexConfig:
     — disabled (keep all postings) unless set >= 0.
     """
 
-    num_shards: int = 8            # hash(term) % num_shards → output shard
-    num_salts: int = 4             # docID-range salts for the posting shuffle
+    num_shards: int = 8            # doc_id % num_shards → doc shard
+    num_salts: int = 4             # crc32(term) % num_salts → term bucket per shard
     n_postings: int = -1           # -1 = no static pruning; -2 = reference default formula
     # "none" = raw integer tfs; "u8" = the reference's quantized sparse
     # tier: weights are u8-quantized at ingest (ByteQuantizer.java:24-34,

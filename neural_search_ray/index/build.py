@@ -21,7 +21,14 @@ Design points (scale rationale):
   any one shuffle group are bounded by the shard's doc count — the
   explicit skew handling the north rule demands. ``term_bucket =
   crc32(term) % num_term_buckets`` adds intra-shard parallelism; a
-  stopword-grade term is split across num_doc_shards groups.
+  stopword-grade term is split across num_doc_shards groups (more
+  buckets would not split it further: a term's postings in one shard
+  always share one bucket).
+- **File count**: a new index records ``num_term_buckets = num_salts``
+  (term buckets per shard), so a segment writes ``num_shards x
+  num_salts`` posting files plus ``num_shards`` doc-length files. An
+  existing index keeps its manifest's modulus for every later segment,
+  so merge groups stay aligned.
 - **Combiner before shuffle**: the map stage emits per-(input-batch,
   term, shard) partial posting lists (Arrow ``list<int64>`` docIDs +
   ``list<int32>`` tfs), so the shuffle moves aggregated postings rather
@@ -181,11 +188,15 @@ def doclen_partial_rows(
 
 
 def make_tokenize_partial_postings(
-    config: IndexConfig, id_column: str = "doc_id", text_column: str = "text"
+    config: IndexConfig,
+    num_buckets: int,
+    id_column: str = "doc_id",
+    text_column: str = "text",
 ):
-    """Build the map_batches fn: batch of (doc_id, text) → partial postings."""
+    """Build the map_batches fn: batch of (doc_id, text) → partial postings.
+    ``num_buckets`` is the index's term-bucket modulus (term buckets per
+    shard, ``manifest.num_term_buckets``)."""
     num_shards = config.num_shards
-    num_buckets = config.num_salts * config.num_shards  # term buckets per shard
     analyzer_cfg = config.analyzer
     index_positions = config.index_positions
 
@@ -334,7 +345,7 @@ def make_write_group(index_dir: str, segment_id: str, config: IndexConfig):
                            sum_dl=flat_tfs.sum())]
             )
 
-        codes_part, uniq = pd.factorize(terms_col.to_pandas())
+        codes_part, uniq = pd.factorize(terms_col.to_pandas(), sort=True)
         code_per_posting = np.repeat(codes_part.astype(np.int64), dfs_flat)
         order = np.lexsort((flat_docs, code_per_posting))
         g_code = code_per_posting[order]
@@ -405,7 +416,7 @@ def index_config_from_manifest(manifest: IndexManifest) -> IndexConfig:
 
     return IndexConfig(
         num_shards=manifest.num_doc_shards,
-        num_salts=max(manifest.num_term_buckets // manifest.num_doc_shards, 1),
+        num_salts=manifest.num_term_buckets,
         weight_quantization=manifest.weight_quantization,
         posting_codec=manifest.posting_codec,
         index_positions=manifest.index_positions,
@@ -441,10 +452,11 @@ def build_index(
             "position count, so positional payloads could not be decoded"
         )
     os.makedirs(index_dir, exist_ok=True)
-    num_buckets = config.num_salts * config.num_shards
+    # the term-bucket modulus is the index's: a new index takes num_salts,
+    # later segments keep whatever the manifest records
     manifest = IndexManifest.load(index_dir) or IndexManifest(
         num_doc_shards=config.num_shards,
-        num_term_buckets=num_buckets,
+        num_term_buckets=config.num_salts,
         analyzer=asdict(config.analyzer),
         bm25=asdict(config.bm25),
         weight_quantization=config.weight_quantization,
@@ -457,6 +469,13 @@ def build_index(
             f"{manifest.index_positions}; cannot add segments with "
             f"index_positions={config.index_positions} (readers decode "
             f"per-manifest)"
+        )
+    if manifest.num_doc_shards != config.num_shards:
+        raise ValueError(
+            f"index at {index_dir} was built with num_shards="
+            f"{manifest.num_doc_shards}; cannot add segments with "
+            f"num_shards={config.num_shards} (readers open the manifest's "
+            f"shards only)"
         )
     if manifest.posting_codec != config.posting_codec:
         raise ValueError(
@@ -486,7 +505,9 @@ def build_index(
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
     try:
         partials = ds.map_batches(
-            make_tokenize_partial_postings(config, id_column, text_column),
+            make_tokenize_partial_postings(
+                config, manifest.num_term_buckets, id_column, text_column
+            ),
             batch_format="pyarrow",
             batch_size=None,  # whole blocks: the combiner emits one partial
             # row per (term, shard) per BATCH — 1024-row default batches

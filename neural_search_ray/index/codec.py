@@ -4,7 +4,10 @@ Reference format being re-expressed (NOT copied): per-term postings written
 as (docId vint, weight byte)* by sparse/codec/ClusteredPostingTermsWriter.java:155-181
 into Lucene .sip files, through one consumer for flush and merge
 (SparsePostingsConsumer.java:52-53,87-111). Here a posting file is one
-Parquet table per (segment, doc_shard, term_bucket), one row per term:
+Parquet table per (segment, doc_shard, term_bucket) — ``num_doc_shards x
+num_term_buckets`` posting files per segment, where ``num_term_buckets``
+is the term buckets per shard (``IndexConfig.num_salts`` for a new
+index), beside one doc-length file per shard — one row per term:
 
   term  string   the term (the Parquet dictionary + stats play the role of
                  the .sit term dict, SparseTermsLuceneWriter.java:34-98)

@@ -105,7 +105,7 @@ def _rewrite_group(
         ]
     )
     flat_doc, flat_tf, dfs, flat_pos = decode_rows(t, codec)
-    codes_row, uniq = pd.factorize(t["term"].to_pandas())
+    codes_row, uniq = pd.factorize(t["term"].to_pandas(), sort=True)
     flat_code = np.repeat(codes_row.astype(np.int64), dfs)
     if drop is not None and flat_doc.size:
         live = _live_mask(flat_doc, drop)

@@ -62,7 +62,7 @@ def _make_repack(
 
     def fn(batch: pa.Table) -> pa.Table:
         flat_doc, flat_tf, dfs, flat_pos = decode_rows(batch, codec)
-        codes_row, uniq = pd.factorize(batch["term"].to_pandas())
+        codes_row, uniq = pd.factorize(batch["term"].to_pandas(), sort=True)
         flat_code = np.repeat(codes_row.astype(np.int64), dfs)
         total = flat_doc.size
         if total == 0:
@@ -144,7 +144,8 @@ def reshard_index(
     resume: bool = True,
 ) -> IndexManifest:
     """Rewrite ``index_dir`` into ``out_dir`` with ``new_num_shards``
-    doc shards (and optionally a new per-shard bucket factor). Global
+    doc shards (and optionally a new per-shard bucket factor: the output
+    has ``new_num_shards x num_salts`` posting files). Global
     stats (N, Σdl, per-term df) are preserved exactly, so BM25 results
     are rank- AND score-identical to the source index."""
     src = IndexManifest.load(index_dir)
@@ -165,7 +166,6 @@ def reshard_index(
         num_shards=new_num_shards,
         num_salts=new_num_salts if new_num_salts is not None else cfg.num_salts,
     )
-    new_buckets = cfg.num_shards * cfg.num_salts
     # the group writer must NOT re-apply ingest-time transforms: a u8
     # index's tf payload is ALREADY FeatureField-encoded (re-quantizing
     # would corrupt it), and static pruning already happened at flush —
@@ -200,7 +200,7 @@ def reshard_index(
         ).map_batches(
             _make_repack(
                 src.posting_codec, src.index_positions,
-                new_num_shards, new_buckets,
+                new_num_shards, cfg.num_salts,
             ),
             batch_format="pyarrow",
             batch_size=None,
@@ -224,7 +224,7 @@ def reshard_index(
 
     manifest = out_manifest or IndexManifest(
         num_doc_shards=cfg.num_shards,
-        num_term_buckets=new_buckets,
+        num_term_buckets=cfg.num_salts,
         analyzer=src.analyzer,
         bm25=src.bm25,
         weight_quantization=src.weight_quantization,

@@ -30,7 +30,8 @@ def main() -> None:
         shutil.rmtree(FIXTURE_DIR)
     os.makedirs(FIXTURE_DIR)
     ds = ray.data.from_arrow(fixture_corpus())
-    build_index(ds, FIXTURE_DIR, IndexConfig(num_shards=2, num_salts=1))
+    # num_salts=2: the committed fixture records num_term_buckets 2
+    build_index(ds, FIXTURE_DIR, IndexConfig(num_shards=2, num_salts=2))
     # Rewrite the manifest as a v1 file: no format_version field.
     mpath = os.path.join(FIXTURE_DIR, "manifest.json")
     with open(mpath) as f:
